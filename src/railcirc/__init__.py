@@ -6,18 +6,17 @@ dual-rail encoding that eliminates negation entirely, and verify the results
 exhaustively (equivalence, monotonicity, one-hot structure, size bounds).
 """
 
+from .bitsim import evaluate, wire_values
 from .circuit import (AND, CONST, INPUT, NOT, OR, Circuit, CircuitStats, Gate,
-                      NetlistError, emit_dot, emit_netlist, evaluate,
-                      is_structurally_monotone, parse_netlist, stats, wire_values)
+                      NetlistError, emit_dot, emit_netlist,
+                      is_structurally_monotone, parse_netlist, stats)
 from .dualrail import (RAIL_SEPARATOR, RailPair, build_eq_classifier,
                        dual_rail_transform, flatten_bits, rail_map,
                        unflatten_bits, validate_rail_complement)
 from .reports import (EQUIVALENCE, MONOTONICITY, ONE_HOT, RAIL,
                       CounterexampleReport)
-from .tableau import (DEFAULT_GATE_CAP, CellAlphabet, GateCapError,
-                      TableauSchema, cell_alphabet, compile_tm,
-                      compile_tm_flattened, config_cells, schema_for,
-                      tableau_trace)
+from .tableau import (DEFAULT_GATE_CAP, CellAlphabet, GateCapError, compile_tm,
+                      compile_tm_flattened, config_cells, tableau_trace)
 from .tm import (ACCEPT, BLANK, REJECT, TIMEOUT, Configuration, TMError,
                  TuringMachine, initial_configuration, parse_tm, run, step)
 from .transducer import CONTROL_STATE_BITS, TransducerStats, stream_flatten

@@ -3,7 +3,9 @@
 Assignments over n inputs are indexed 0 .. 2**n - 1 in lexicographic order
 with the first input most significant: assignment i sets input j to bit
 (n - 1 - j) of i.  Evaluating a circuit once over these masks yields its
-whole truth table, which keeps the exhaustive sweeps cheap.
+whole truth table, which keeps the exhaustive sweeps cheap.  A single
+assignment (``evaluate``, ``wire_values``) runs the same interpreter on
+one-bit masks.
 """
 
 from __future__ import annotations
@@ -75,3 +77,41 @@ def evaluate_masks(c: Circuit, masks, full: int) -> dict[str, int]:
         else:
             vals[pos] = full if g.value else 0
     return {g.name: vals[pos] for pos, g in enumerate(c.gates)}
+
+
+def rail_masks(masks, full: int) -> list[int]:
+    """Rail-encode input masks: each becomes its (zero-rail, one-rail) pair.
+
+    The result drives a flattened circuit over the same assignments as
+    ``masks``, inputs ordered ``x0__0, x0__1, x1__0, ...``.
+    """
+    out = []
+    for m in masks:
+        out.append(full ^ m)
+        out.append(m)
+    return out
+
+
+def _bits(c: Circuit, assignment) -> list[int]:
+    if len(assignment) != len(c.inputs):
+        raise ValueError(
+            f"assignment has {len(assignment)} bits, circuit has "
+            f"{len(c.inputs)} inputs")
+    for bit in assignment:
+        if bit not in (0, 1):
+            raise ValueError(f"assignment value {bit!r} is not a bit")
+    return [int(bit) for bit in assignment]
+
+
+def evaluate(c: Circuit, assignment) -> list[int]:
+    """Evaluate the circuit on one assignment; returns output bits in order.
+
+    ``assignment`` feeds the inputs positionally, in definition order.
+    """
+    vals = evaluate_masks(c, _bits(c, assignment), 1)
+    return [vals[o] for o in c.outputs]
+
+
+def wire_values(c: Circuit, assignment) -> dict[str, int]:
+    """Evaluate and return the value of every named wire."""
+    return evaluate_masks(c, _bits(c, assignment), 1)

@@ -16,14 +16,14 @@ Netlist grammar (UTF-8, LF line endings, ``#`` starts a comment):
 
 The first NAME after a keyword defines a new gate; ``output`` references an
 already-defined one.  Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.  Tokens
-are separated by one or more spaces; emission always uses single spaces, one
+are separated by any whitespace; emission always uses single spaces, one
 definition per line, output lines last.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 INPUT = "input"
 CONST = "const"
@@ -32,30 +32,39 @@ OR = "or"
 NOT = "not"
 
 _ARITY = {INPUT: 0, CONST: 0, AND: 2, OR: 2, NOT: 1}
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# Tokens on a netlist line, keyword included.
+_TOKENS = {INPUT: 2, CONST: 3, AND: 4, OR: 4, NOT: 3, "output": 2}
 
 
 class NetlistError(ValueError):
-    """Malformed netlist text or ill-formed circuit structure."""
+    """Malformed netlist text or ill-formed circuit structure.
 
-    def __init__(self, message: str, line: int | None = None):
+    ``line`` is the 1-based source line of a parse error; ``gate`` is the
+    position, in the gate sequence, of the gate a structural check rejected.
+    """
+
+    def __init__(self, message: str, line: int | None = None,
+                 gate: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.gate = gate
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate definition: name, operation, operand wires, const payload."""
+class Gate(NamedTuple):
+    """One gate definition: name, operation, operand wires, const payload.
+
+    A named tuple: cheap to build, and since it holds only strings, ints and
+    a tuple of strings, the garbage collector stops tracking it after one
+    collection.  Nothing is checked here; the Circuit built from it checks
+    every gate, and turns a list ``args`` into a tuple.
+    """
 
     name: str
     op: str
     args: tuple[str, ...] = ()
     value: int | None = None  # const gates only
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
 
 
 @dataclass(frozen=True, repr=False)
@@ -64,47 +73,72 @@ class Circuit:
 
     Construction validates the whole structure (unique names, known kinds,
     correct arities, no forward references), so every reachable Circuit is
-    well formed.  Evaluation and the analyses below are pure functions; a
-    Circuit can be shared freely between threads.
+    well formed; it is the only structural check, parse_netlist included.
+    Evaluation and the analyses below are pure functions; a Circuit can be
+    shared freely between threads.
     """
 
     gates: tuple[Gate, ...]
     outputs: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        gates = tuple(self.gates)
         index: dict[str, int] = {}
+        find = index.get
         inputs: list[str] = []
         arg_pos: list[tuple[int, ...]] = []
-        for pos, g in enumerate(self.gates):
-            if g.op not in _ARITY:
-                raise NetlistError(f"unknown gate kind {g.op!r}")
-            if not _NAME_RE.match(g.name):
-                raise NetlistError(f"invalid gate name {g.name!r}")
-            if g.name in index:
-                raise NetlistError(f"duplicate gate name {g.name!r}")
-            if len(g.args) != _ARITY[g.op]:
+        retupled: list[Gate] | None = None
+        for pos, (name, op, args, value) in enumerate(gates):
+            arity = _ARITY.get(op)
+            if arity is None:
+                raise NetlistError(f"unknown gate kind {op!r}", gate=pos)
+            # for ASCII text, isidentifier() is exactly [A-Za-z_][A-Za-z0-9_]*
+            if not (name.isascii() and name.isidentifier()):
+                raise NetlistError(f"invalid name {name!r}", gate=pos)
+            if name in index:
+                raise NetlistError(f"duplicate name {name!r}", gate=pos)
+            if len(args) != arity:
                 raise NetlistError(
-                    f"{g.op} gate {g.name!r} takes {_ARITY[g.op]} operand(s), "
-                    f"got {len(g.args)}")
-            if g.op == CONST:
-                if g.value not in (0, 1):
-                    raise NetlistError(f"const gate {g.name!r} must carry 0 or 1")
-            elif g.value is not None:
-                raise NetlistError(f"{g.op} gate {g.name!r} must not carry a value")
-            positions = []
-            for a in g.args:
-                if a not in index:
-                    raise NetlistError(f"undefined reference {a!r} in gate {g.name!r}")
-                positions.append(index[a])
-            index[g.name] = pos
-            arg_pos.append(tuple(positions))
-            if g.op == INPUT:
-                inputs.append(g.name)
-        for o in self.outputs:
+                    f"{op} gate {name!r} takes {arity} operand(s), "
+                    f"got {len(args)}", gate=pos)
+            if op == CONST:
+                if value not in (0, 1):
+                    raise NetlistError(f"const gate {name!r} must carry 0 or 1",
+                                       gate=pos)
+            elif value is not None:
+                raise NetlistError(f"{op} gate {name!r} must not carry a value",
+                                   gate=pos)
+            if arity == 2:
+                a, b = args
+                pa = find(a)
+                pb = find(b)
+                if pa is None or pb is None:
+                    raise NetlistError(
+                        f"undefined reference {a if pa is None else b!r} "
+                        f"in gate {name!r}", gate=pos)
+                arg_pos.append((pa, pb))
+            elif arity:
+                (a,) = args
+                pa = find(a)
+                if pa is None:
+                    raise NetlistError(
+                        f"undefined reference {a!r} in gate {name!r}", gate=pos)
+                arg_pos.append((pa,))
+            else:
+                arg_pos.append(())
+                if op == INPUT:
+                    inputs.append(name)
+            if type(args) is not tuple:
+                if retupled is None:
+                    retupled = list(gates)
+                retupled[pos] = Gate(name, op, tuple(args), value)
+            index[name] = pos
+        outputs = tuple(self.outputs)
+        for o in outputs:
             if o not in index:
                 raise NetlistError(f"output references undefined gate {o!r}")
+        object.__setattr__(self, "gates", gates if retupled is None else tuple(retupled))
+        object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_arg_pos", tuple(arg_pos))
         object.__setattr__(self, "_inputs", tuple(inputs))
@@ -126,49 +160,58 @@ class Circuit:
 
 
 def parse_netlist(text: str) -> Circuit:
-    """Parse netlist text into a Circuit, enforcing definition-before-use."""
+    """Parse netlist text into a Circuit, enforcing definition-before-use.
+
+    Only tokens are checked here; the Circuit constructor checks structure,
+    and a fault it finds is reported at the source line of the failing gate.
+    """
     gates: list[Gate] = []
+    gate_lines: list[int] = []
     outputs: list[str] = []
-    defined: set[str] = set()
+    # (line, gates defined above it) per output line
+    output_at: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         keyword = tokens[0]
-        if keyword == "output":
-            if len(tokens) != 2:
-                raise NetlistError("output takes exactly one name", lineno)
-            if tokens[1] not in defined:
-                raise NetlistError(f"undefined reference {tokens[1]!r}", lineno)
-            outputs.append(tokens[1])
-            continue
-        if keyword not in _ARITY:
+        width = _TOKENS.get(keyword)
+        if width is None:
             raise NetlistError(f"unknown keyword {keyword!r}", lineno)
-        expected = 2 + _ARITY[keyword] + (1 if keyword == CONST else 0)
-        if len(tokens) != expected:
+        if len(tokens) != width:
             raise NetlistError(
-                f"{keyword} line takes {expected - 1} token(s) after the keyword, "
+                f"{keyword} line takes {width - 1} token(s) after the keyword, "
                 f"got {len(tokens) - 1}", lineno)
-        name = tokens[1]
-        if not _NAME_RE.match(name):
-            raise NetlistError(f"invalid name {name!r}", lineno)
-        if name in defined:
-            raise NetlistError(f"duplicate name {name!r}", lineno)
-        value = None
-        args: tuple[str, ...] = ()
-        if keyword == CONST:
+        if width == 4:
+            gates.append(Gate(tokens[1], keyword, (tokens[2], tokens[3])))
+        elif keyword == "output":
+            outputs.append(tokens[1])
+            output_at.append((lineno, len(gates)))
+            continue
+        elif keyword == CONST:
             if tokens[2] not in ("0", "1"):
                 raise NetlistError(f"const value must be 0 or 1, got {tokens[2]!r}", lineno)
-            value = int(tokens[2])
+            gates.append(Gate(tokens[1], CONST, (), int(tokens[2])))
         else:
-            args = tuple(tokens[2:])
-            for a in args:
-                if a not in defined:
-                    raise NetlistError(f"undefined reference {a!r}", lineno)
-        gates.append(Gate(name, keyword, args, value))
-        defined.add(name)
-    return Circuit(tuple(gates), tuple(outputs))
+            gates.append(Gate(tokens[1], keyword, tuple(tokens[2:])))
+        gate_lines.append(lineno)
+    try:
+        c = Circuit(gates, outputs)
+    except NetlistError as exc:
+        if exc.gate is not None:
+            raise NetlistError(str(exc), gate_lines[exc.gate]) from None
+        defined = {g.name for g in gates}
+        for o, (lineno, _) in zip(outputs, output_at):
+            if o not in defined:
+                raise NetlistError(f"undefined reference {o!r}", lineno) from None
+        raise
+    index = c._index
+    for o, (lineno, defined_above) in zip(outputs, output_at):
+        if index[o] >= defined_above:
+            raise NetlistError(f"undefined reference {o!r}", lineno)
+    return c
 
 
 def emit_netlist(c: Circuit) -> str:
@@ -184,51 +227,6 @@ def emit_netlist(c: Circuit) -> str:
     for o in c.outputs:
         lines.append(f"output {o}")
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def _gate_values(c: Circuit, assignment) -> list[int]:
-    if len(assignment) != len(c.inputs):
-        raise ValueError(
-            f"assignment has {len(assignment)} bits, circuit has "
-            f"{len(c.inputs)} inputs")
-    vals = [0] * len(c.gates)
-    arg_pos = c._arg_pos
-    next_input = 0
-    for pos, g in enumerate(c.gates):
-        op = g.op
-        if op == AND:
-            a, b = arg_pos[pos]
-            vals[pos] = vals[a] & vals[b]
-        elif op == OR:
-            a, b = arg_pos[pos]
-            vals[pos] = vals[a] | vals[b]
-        elif op == NOT:
-            vals[pos] = 1 - vals[arg_pos[pos][0]]
-        elif op == INPUT:
-            bit = assignment[next_input]
-            next_input += 1
-            if bit not in (0, 1):
-                raise ValueError(f"assignment value {bit!r} is not a bit")
-            vals[pos] = int(bit)
-        else:
-            vals[pos] = g.value
-    return vals
-
-
-def evaluate(c: Circuit, assignment) -> list[int]:
-    """Evaluate the circuit on one assignment; returns output bits in order.
-
-    ``assignment`` feeds the inputs positionally, in definition order.
-    """
-    vals = _gate_values(c, assignment)
-    idx = c._index
-    return [vals[idx[o]] for o in c.outputs]
-
-
-def wire_values(c: Circuit, assignment) -> dict[str, int]:
-    """Evaluate and return the value of every named wire."""
-    vals = _gate_values(c, assignment)
-    return {g.name: vals[pos] for pos, g in enumerate(c.gates)}
 
 
 def is_structurally_monotone(c: Circuit) -> bool:

@@ -132,9 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gate-cap", type=int, default=DEFAULT_GATE_CAP,
                         help="abort compilation beyond this many gates "
                              "(default %(default)s)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized checks (reserved; current "
-                             "subcommands are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile-tm", help="compile a machine to a netlist")

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsim import assignment_of_index, evaluate_masks, full_mask, input_masks, lowest_set_bit
+from .bitsim import (assignment_of_index, evaluate_masks, full_mask, input_masks,
+                     lowest_set_bit, rail_masks)
 from .circuit import AND, CONST, INPUT, NOT, OR, Circuit, Gate
 from .reports import RAIL, CounterexampleReport
 
@@ -164,12 +165,7 @@ def validate_rail_complement(b: Circuit, m: Circuit) -> CounterexampleReport | N
         raise ValueError("rail validation sweeps all assignments; max 12 inputs")
     rails = rail_map(b)
     full = full_mask(n)
-    masks = input_masks(n)
-    mmasks = []
-    for mask in masks:
-        mmasks.append(full ^ mask)
-        mmasks.append(mask)
-    vals = evaluate_masks(m, mmasks, full)
+    vals = evaluate_masks(m, rail_masks(input_masks(n), full), full)
     for g in b.gates:
         rp = rails[g.name]
         mismatch = vals[rp.zero_rail] ^ (full ^ vals[rp.one_rail])

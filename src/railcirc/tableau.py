@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .circuit import AND, CONST, INPUT, NOT, OR, Circuit, Gate, wire_values
+from .bitsim import wire_values
+from .circuit import AND, CONST, INPUT, NOT, OR, Circuit, Gate
 from .tm import BLANK, LEFT, RIGHT, TuringMachine
 
 CellSymbol = Union[str, tuple[str, str]]
@@ -69,36 +70,6 @@ class CellAlphabet:
 
     def index_of(self, entry: CellSymbol) -> int:
         return self._index[entry]
-
-
-def cell_alphabet(tm: TuringMachine) -> CellAlphabet:
-    return CellAlphabet.from_machine(tm)
-
-
-@dataclass(frozen=True)
-class TableauSchema:
-    """Grid dimensions and the public wire naming scheme."""
-
-    machine: TuringMachine
-    n: int
-    t: int
-    alphabet: CellAlphabet
-
-    @property
-    def rows(self) -> int:
-        return self.t + 1
-
-    @property
-    def cols(self) -> int:
-        return self.t + 1
-
-    def wire_name(self, row: int, col: int, symbol: CellSymbol) -> str:
-        return f"c_{row}_{col}_{self.alphabet.index_of(symbol)}"
-
-
-def schema_for(tm: TuringMachine, n: int, t: int) -> TableauSchema:
-    _check_dims(n, t)
-    return TableauSchema(tm, n, t, CellAlphabet.from_machine(tm))
 
 
 def _check_dims(n: int, t: int) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsim import (assignment_of_index, evaluate_masks, full_mask,
-                     index_of_assignment, input_masks, lowest_set_bit)
+                     index_of_assignment, input_masks, lowest_set_bit, rail_masks)
 from .circuit import Circuit, stats
 from .reports import EQUIVALENCE, MONOTONICITY, ONE_HOT, RAIL, CounterexampleReport
 
@@ -128,14 +128,6 @@ def refute_eq_monotone(n: int = 1) -> CounterexampleReport:
     )
 
 
-def _flattened_masks(masks: list[int], full: int) -> list[int]:
-    out = []
-    for m in masks:
-        out.append(full ^ m)
-        out.append(m)
-    return out
-
-
 def exhaustive_equiv(b: Circuit, m: Circuit, mode: str = RAW) -> CounterexampleReport | None:
     """Compare two circuits on every assignment of b's inputs.
 
@@ -159,7 +151,7 @@ def exhaustive_equiv(b: Circuit, m: Circuit, mode: str = RAW) -> CounterexampleR
     masks = input_masks(n)
     bvals = evaluate_masks(b, masks, full)
     mvals = evaluate_masks(
-        m, masks if mode == RAW else _flattened_masks(masks, full), full)
+        m, masks if mode == RAW else rail_masks(masks, full), full)
     bouts = [bvals[o] for o in b.outputs]
     mouts = [mvals[o] for o in m.outputs]
     diff = 0

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from railcirc import (AND, INPUT, NOT, OR, Circuit, Gate, NetlistError, emit_dot,
+from railcirc import (AND, CONST, INPUT, NOT, OR, Circuit, Gate, NetlistError, emit_dot,
                       emit_netlist, evaluate, is_structurally_monotone,
                       parse_netlist, stats, wire_values)
 from railcirc.verify import check_semantic_monotone
@@ -69,6 +69,59 @@ def test_parse_rejects_duplicates_and_bad_tokens():
 def test_forward_reference_is_rejected():
     with pytest.raises(NetlistError, match="line 1"):
         parse_netlist("not n x\ninput x\noutput n\n")
+
+
+# Four lines of comments and blanks, so the first netlist line is line 5.
+_PREAMBLE = "# bad netlist\n\n   # indented comment\n\t\n"
+
+
+@pytest.mark.parametrize("body, line, match", [
+    ("input x\n# again\ninput x\n", 7, "duplicate name 'x'"),
+    ("input x\nnot 9x x\n", 6, "invalid name '9x'"),
+    ("input x\nand g x y\noutput g\n", 6, "undefined reference 'y'"),
+    ("not n x\ninput x\noutput n\n", 5, "undefined reference 'x'"),
+    ("input x\noutput n\nnot n x\n", 6, "undefined reference 'n'"),
+    ("input x\n\noutput x\noutput ghost\n", 8, "undefined reference 'ghost'"),
+    ("input x\nnand g x x\n", 6, "unknown keyword 'nand'"),
+    ("input x\nconst k 2\n", 6, "const value must be 0 or 1"),
+    ("input x\nand g x\n", 6, "token"),
+], ids=["duplicate", "invalid-name", "undefined-operand", "forward-reference",
+        "output-before-definition", "output-never-defined", "unknown-keyword",
+        "bad-const", "token-count"])
+def test_parse_errors_name_their_line(body, line, match):
+    with pytest.raises(NetlistError, match=match) as info:
+        parse_netlist(_PREAMBLE + body)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize("gates, pos, match", [
+    ((Gate("x", INPUT), Gate("g", "nand", ("x", "x"))), 1, "unknown gate kind 'nand'"),
+    ((Gate("x", INPUT, value=1),), 0, "must not carry a value"),
+    ((Gate("x", INPUT), Gate("k", CONST)), 1, "must carry 0 or 1"),
+    ((Gate("x", INPUT), Gate("k", CONST, value=2)), 1, "must carry 0 or 1"),
+    ((Gate("x", INPUT), Gate("x y", INPUT)), 1, "invalid name"),
+    ((Gate("x", INPUT), Gate("é", INPUT)), 1, "invalid name"),
+])
+def test_circuit_rejects_bad_gates(gates, pos, match):
+    with pytest.raises(NetlistError, match=match) as info:
+        Circuit(gates, ())
+    assert info.value.gate == pos and info.value.line is None
+
+
+def test_circuit_turns_list_args_into_a_tuple():
+    c = Circuit((Gate("x", INPUT), Gate("g", NOT, ["x"])), ["g"])
+    assert c.gates[1].args == ("x",)
+    assert c.outputs == ("g",)
+    hash(c.gates[1])
+    assert hash(c) == hash(Circuit((Gate("x", INPUT), Gate("g", NOT, ("x",))), ("g",)))
+
+
+def test_parse_accepts_tabs_and_crlf():
+    text = "input\tx\ninput\ty  # tabbed\nand\tg\tx\ty\nnot n g\noutput\tn\n"
+    c = parse_netlist(text)
+    assert parse_netlist(text.replace("\n", "\r\n")) == c
+    assert emit_netlist(c) == "input x\ninput y\nand g x y\nnot n g\noutput n\n"
 
 
 def test_emit_identity_and_classifier():

@@ -154,8 +154,3 @@ def test_unknown_subcommand_exits_2(capsys):
     assert main(["explode"]) == 2
     assert main([]) == 2
     capsys.readouterr()
-
-
-def test_seed_flag_is_accepted(capsys):
-    assert main(["--seed", "7", "verify", "census", "-n", "1"]) == 0
-    capsys.readouterr()

@@ -3,9 +3,9 @@
 import pytest
 
 from railcirc import (ACCEPT, BLANK, NOT, CellAlphabet, GateCapError,
-                      TIMEOUT, cell_alphabet, compile_tm, compile_tm_flattened,
+                      TIMEOUT, compile_tm, compile_tm_flattened,
                       config_cells, evaluate, initial_configuration,
-                      parse_tm, run, schema_for, stats, step, tableau_trace)
+                      parse_tm, run, stats, step, tableau_trace, wire_values)
 from railcirc.bitsim import evaluate_masks, full_mask, input_masks
 from railcirc.tableau import SIZE_COEFF
 
@@ -25,20 +25,24 @@ def _words(n):
 
 def test_cell_alphabet_order():
     tm = parse_tm(fixture_text("contains_one.tm"))
-    ab = cell_alphabet(tm)
+    ab = CellAlphabet.from_machine(tm)
     assert ab.entries[:3] == ("0", "1", BLANK)
     assert ab.entries[3:6] == (("q0", "0"), ("q0", "1"), ("q0", BLANK))
     assert len(ab) == 3 + 3 * 3
     assert ab.index_of(("qa", "1")) == 3 + 3 + 1
-    assert CellAlphabet.from_machine(tm) == ab
 
 
-def test_schema_names_and_dims():
+def test_wire_naming_contract():
+    # c_{row}_{col}_{k}, k indexing the cell alphabet, over a (t+1)^2 grid
     tm = parse_tm(fixture_text("contains_one.tm"))
-    sch = schema_for(tm, 2, 4)
-    assert sch.rows == sch.cols == 5
-    assert sch.wire_name(0, 0, ("q0", "0")) == "c_0_0_3"
-    assert sch.wire_name(4, 2, "1") == "c_4_2_1"
+    ab = CellAlphabet.from_machine(tm)
+    c = compile_tm(tm, 2, 4)
+    assert ab.index_of(("q0", "0")) == 3 and ab.index_of("1") == 1
+    assert "c_0_0_3" in c and "c_4_2_1" in c
+    # the head starts on cell 0 in state q0, reading the first input bit
+    assert wire_values(c, [0, 1])["c_0_0_3"] == 1
+    assert wire_values(c, [1, 0])["c_0_0_3"] == 0
+    assert "c_5_0_0" not in c and "c_0_5_0" not in c
 
 
 def test_dimension_validation():
@@ -192,7 +196,7 @@ def test_gate_cap_enforced():
 
 def test_size_bound_and_growth():
     tm = parse_tm(fixture_text("contains_one.tm"))
-    na = len(cell_alphabet(tm))
+    na = len(CellAlphabet.from_machine(tm))
     totals = {}
     for t in (4, 8, 16, 32):
         s = stats(compile_tm(tm, 2, t))
