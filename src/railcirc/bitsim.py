@@ -6,6 +6,11 @@ with the first input most significant: assignment i sets input j to bit
 whole truth table, which keeps the exhaustive sweeps cheap.  A single
 assignment (``evaluate``, ``wire_values``) runs the same interpreter on
 one-bit masks.
+
+A mask takes 2**n bits, so holding one per wire costs gates * 2**n / 8
+bytes.  Callers that need only some wires (the verifiers read the outputs)
+name them, and the evaluator then keeps a wire's mask only while a later
+gate still reads it.
 """
 
 from __future__ import annotations
@@ -48,35 +53,64 @@ def lowest_set_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def evaluate_masks(c: Circuit, masks, full: int) -> dict[str, int]:
-    """Evaluate every wire over all assignments at once.
+def evaluate_masks(c: Circuit, masks, full: int, wires=None) -> dict[str, int]:
+    """Evaluate the circuit over all assignments at once; map wire to mask.
 
     ``masks[j]`` drives the j-th input (in definition order); any mask list
     is accepted, so callers can restrict the sweep to a sub-domain such as
     the valid rail assignments of a flattened circuit.
+
+    The result maps each wire named in ``wires`` to its mask (every wire
+    when None); a name the circuit does not define raises ValueError.  Any
+    other wire's mask is dropped as soon as its last reader has run.
     """
     if len(masks) != len(c.inputs):
         raise ValueError(
             f"{len(masks)} input masks supplied, circuit has {len(c.inputs)} inputs")
-    vals = [0] * len(c.gates)
+    gates = c.gates
     arg_pos = c._arg_pos
+    end = len(gates)
+    if wires is None:
+        last = [end] * end
+    else:
+        # last[p]: the position of wire p's last reader; requested wires are
+        # read at the end, and a wire nothing reads dies where it is made.
+        last = list(range(end))
+        for pos, args in enumerate(arg_pos):
+            for a in args:
+                last[a] = pos
+        index = c._index
+        for w in wires:
+            p = index.get(w)
+            if p is None:
+                raise ValueError(f"circuit defines no wire {w!r}")
+            last[p] = end
+    vals = [0] * end
     k = 0
-    for pos, g in enumerate(c.gates):
+    for pos, g in enumerate(gates):
         op = g.op
-        if op == AND:
+        if op == AND or op == OR:
             a, b = arg_pos[pos]
-            vals[pos] = vals[a] & vals[b]
-        elif op == OR:
-            a, b = arg_pos[pos]
-            vals[pos] = vals[a] | vals[b]
+            v = vals[a] & vals[b] if op == AND else vals[a] | vals[b]
+            if last[a] == pos:
+                vals[a] = 0
+            if last[b] == pos:
+                vals[b] = 0
         elif op == NOT:
-            vals[pos] = full ^ vals[arg_pos[pos][0]]
+            (a,) = arg_pos[pos]
+            v = full ^ vals[a]
+            if last[a] == pos:
+                vals[a] = 0
         elif op == INPUT:
-            vals[pos] = masks[k]
+            v = masks[k]
             k += 1
         else:
-            vals[pos] = full if g.value else 0
-    return {g.name: vals[pos] for pos, g in enumerate(c.gates)}
+            v = full if g.value else 0
+        if last[pos] != pos:
+            vals[pos] = v
+    if wires is None:
+        return {g.name: vals[pos] for pos, g in enumerate(gates)}
+    return {w: vals[index[w]] for w in wires}
 
 
 def rail_masks(masks, full: int) -> list[int]:
@@ -108,7 +142,7 @@ def evaluate(c: Circuit, assignment) -> list[int]:
 
     ``assignment`` feeds the inputs positionally, in definition order.
     """
-    vals = evaluate_masks(c, _bits(c, assignment), 1)
+    vals = evaluate_masks(c, _bits(c, assignment), 1, c.outputs)
     return [vals[o] for o in c.outputs]
 
 

@@ -89,11 +89,18 @@ class Circuit:
         arg_pos: list[tuple[int, ...]] = []
         retupled: list[Gate] | None = None
         for pos, (name, op, args, value) in enumerate(gates):
-            arity = _ARITY.get(op)
+            try:
+                arity = _ARITY.get(op)
+            except TypeError:  # an unhashable op names no gate kind either
+                arity = None
             if arity is None:
                 raise NetlistError(f"unknown gate kind {op!r}", gate=pos)
             # for ASCII text, isidentifier() is exactly [A-Za-z_][A-Za-z0-9_]*
-            if not (name.isascii() and name.isidentifier()):
+            try:
+                named = name.isascii() and name.isidentifier()
+            except AttributeError:  # not a string
+                named = False
+            if not named:
                 raise NetlistError(f"invalid name {name!r}", gate=pos)
             if name in index:
                 raise NetlistError(f"duplicate name {name!r}", gate=pos)

@@ -48,7 +48,7 @@ def truth_table(c: Circuit) -> TruthTable:
     if len(c.outputs) != 1:
         raise ValueError("truth tables cover single-output circuits")
     n = len(c.inputs)
-    vals = evaluate_masks(c, input_masks(n), full_mask(n))
+    vals = evaluate_masks(c, input_masks(n), full_mask(n), c.outputs)
     ov = vals[c.outputs[0]]
     return TruthTable(n, tuple((ov >> i) & 1 for i in range(1 << n)))
 
@@ -149,9 +149,9 @@ def exhaustive_equiv(b: Circuit, m: Circuit, mode: str = RAW) -> CounterexampleR
             f"got {len(m.inputs)}")
     full = full_mask(n)
     masks = input_masks(n)
-    bvals = evaluate_masks(b, masks, full)
+    bvals = evaluate_masks(b, masks, full, b.outputs)
     mvals = evaluate_masks(
-        m, masks if mode == RAW else rail_masks(masks, full), full)
+        m, masks if mode == RAW else rail_masks(masks, full), full, m.outputs)
     bouts = [bvals[o] for o in b.outputs]
     mouts = [mvals[o] for o in m.outputs]
     diff = 0
@@ -179,7 +179,7 @@ def check_semantic_monotone(c: Circuit) -> CounterexampleReport | None:
         raise ValueError(f"exhaustive sweep caps at {_MONOTONE_MAX_INPUTS} inputs")
     full = full_mask(n)
     masks = input_masks(n)
-    vals = evaluate_masks(c, masks, full)
+    vals = evaluate_masks(c, masks, full, c.outputs)
     best = None
     for oi, oname in enumerate(c.outputs):
         ov = vals[oname]

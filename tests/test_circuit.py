@@ -102,6 +102,8 @@ def test_parse_errors_name_their_line(body, line, match):
     ((Gate("x", INPUT), Gate("k", CONST, value=2)), 1, "must carry 0 or 1"),
     ((Gate("x", INPUT), Gate("x y", INPUT)), 1, "invalid name"),
     ((Gate("x", INPUT), Gate("é", INPUT)), 1, "invalid name"),
+    ((Gate(5, INPUT),), 0, "invalid name 5"),
+    ((Gate("x", INPUT), Gate("g", ["and"], ("x", "x"))), 1, "unknown gate kind"),
 ])
 def test_circuit_rejects_bad_gates(gates, pos, match):
     with pytest.raises(NetlistError, match=match) as info:

@@ -1,11 +1,14 @@
 """Machine-to-circuit compilation: grid layout, agreement, invariants, size."""
 
+import random
+
 import pytest
 
-from railcirc import (ACCEPT, BLANK, NOT, CellAlphabet, GateCapError,
+from railcirc import (ACCEPT, BLANK, FLATTENED, NOT, CellAlphabet, GateCapError,
                       TIMEOUT, compile_tm, compile_tm_flattened,
-                      config_cells, evaluate, initial_configuration,
-                      parse_tm, run, stats, step, tableau_trace, wire_values)
+                      config_cells, evaluate, exhaustive_equiv,
+                      initial_configuration, parse_tm, run, stats, step,
+                      tableau_trace, wire_values)
 from railcirc.bitsim import evaluate_masks, full_mask, input_masks
 from railcirc.tableau import SIZE_COEFF
 
@@ -154,6 +157,39 @@ def test_one_hot_on_every_boolean_input():
         for n, t in ((0, 2), (1, 3), (3, 6)):
             report = one_hot_report(compile_tm(tm, n, t), tm, t)
             assert report is None, report.to_line()
+
+
+def _random_machine(rng):
+    """A machine with 1-3 working states and a random total transition table."""
+    work = [f"q{i}" for i in range(rng.randint(1, 3))]
+    states = work + ["qa", "qr"]
+    alphabet = ["0", "1", BLANK] + ["y"] * rng.randint(0, 1)
+    lines = [f"states: {' '.join(states)}", f"alphabet: {' '.join(alphabet)}",
+             "start: q0", "accept: qa", "reject: qr"]
+    for q in work:
+        for s in alphabet:
+            lines.append(f"delta: {q} {s} -> {rng.choice(states)} "
+                         f"{rng.choice(alphabet)} {rng.choice('LR')}")
+    return parse_tm("\n".join(lines) + "\n")
+
+
+def test_invariants_on_generated_machines():
+    rng = random.Random(5)
+    for _ in range(40):
+        tm = _random_machine(rng)
+        n = rng.randint(0, 4)
+        t = rng.randint(max(1, n - 1), 7)
+        raw = compile_tm(tm, n, t)
+        where = (tm.delta, n, t)
+        accepted = evaluate_masks(raw, input_masks(n), full_mask(n),
+                                  raw.outputs)["accepted"]
+        assert accepted == sum(1 << i for i, word in enumerate(_words(n))
+                               if run(tm, word, t)[0] == ACCEPT), where
+        assert stats(raw).not_count == n, where
+        report = one_hot_report(raw, tm, t)
+        assert report is None, (where, report.to_line())
+        report = exhaustive_equiv(raw, compile_tm_flattened(tm, n, t), FLATTENED)
+        assert report is None, (where, report.to_line())
 
 
 def test_empty_input_circuit():
