@@ -115,26 +115,30 @@ class Circuit:
             elif value is not None:
                 raise NetlistError(f"{op} gate {name!r} must not carry a value",
                                    gate=pos)
-            if arity == 2:
-                a, b = args
-                pa = find(a)
-                pb = find(b)
-                if pa is None or pb is None:
-                    raise NetlistError(
-                        f"undefined reference {a if pa is None else b!r} "
-                        f"in gate {name!r}", gate=pos)
-                arg_pos.append((pa, pb))
-            elif arity:
-                (a,) = args
-                pa = find(a)
-                if pa is None:
-                    raise NetlistError(
-                        f"undefined reference {a!r} in gate {name!r}", gate=pos)
-                arg_pos.append((pa,))
-            else:
-                arg_pos.append(())
-                if op == INPUT:
-                    inputs.append(name)
+            try:
+                if arity == 2:
+                    a, b = args
+                    pa = find(a)
+                    pb = find(b)
+                    if pa is None or pb is None:
+                        raise NetlistError(
+                            f"undefined reference {a if pa is None else b!r} "
+                            f"in gate {name!r}", gate=pos)
+                    arg_pos.append((pa, pb))
+                elif arity:
+                    (a,) = args
+                    pa = find(a)
+                    if pa is None:
+                        raise NetlistError(
+                            f"undefined reference {a!r} in gate {name!r}", gate=pos)
+                    arg_pos.append((pa,))
+                else:
+                    arg_pos.append(())
+                    if op == INPUT:
+                        inputs.append(name)
+            except TypeError:  # an unhashable operand names no wire
+                raise NetlistError(f"invalid operand in gate {name!r}: {args!r}",
+                                   gate=pos) from None
             if type(args) is not tuple:
                 if retupled is None:
                     retupled = list(gates)
@@ -142,7 +146,11 @@ class Circuit:
             index[name] = pos
         outputs = tuple(self.outputs)
         for o in outputs:
-            if o not in index:
+            try:
+                defined = o in index
+            except TypeError:  # an unhashable output names no wire
+                defined = False
+            if not defined:
                 raise NetlistError(f"output references undefined gate {o!r}")
         object.__setattr__(self, "gates", gates if retupled is None else tuple(retupled))
         object.__setattr__(self, "outputs", outputs)
@@ -224,15 +232,16 @@ def parse_netlist(text: str) -> Circuit:
 def emit_netlist(c: Circuit) -> str:
     """Render the canonical netlist text; parse(emit(c)) reproduces c."""
     lines = []
-    for g in c.gates:
-        if g.op == CONST:
-            lines.append(f"const {g.name} {g.value}")
-        elif g.op == INPUT:
-            lines.append(f"input {g.name}")
+    append = lines.append
+    for name, op, args, value in c.gates:
+        if args:
+            append(f"{op} {name} {' '.join(args)}")
+        elif op == INPUT:
+            append(f"input {name}")
         else:
-            lines.append(f"{g.op} {g.name} " + " ".join(g.args))
+            append(f"const {name} {value}")
     for o in c.outputs:
-        lines.append(f"output {o}")
+        append(f"output {o}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -98,24 +98,39 @@ def build_eq_classifier(n: int) -> Circuit:
     return Circuit(tuple(gates), (acc,))
 
 
+def _rails(b: Circuit) -> tuple[list[str], list[str]]:
+    """Zero-rail and one-rail wire names of every source gate, by position.
+
+    A NOT gate swaps its operand's rails instead of adding gates, so its
+    rails alias wires named after other gates; every other gate ``w`` gets
+    ``w__0`` and ``w__1``.
+    """
+    zero: list[str] = []
+    one: list[str] = []
+    for (name, op, _, _), pos in zip(b.gates, b._arg_pos):
+        if RAIL_SEPARATOR in name:
+            raise ValueError(
+                f"gate name {name!r} contains the reserved rail separator "
+                f"{RAIL_SEPARATOR!r}")
+        if op == NOT:
+            (a,) = pos
+            zero.append(one[a])
+            one.append(zero[a])
+        else:
+            zero.append(name + "__0")
+            one.append(name + "__1")
+    return zero, one
+
+
 def rail_map(b: Circuit) -> dict[str, RailPair]:
     """Rail names carried by each source wire after the transform.
 
+    Built from the same positional rail pass as ``dual_rail_transform``:
     NOT gates swap the operand's rails instead of adding gates, so their
     rails alias wires named after other gates.
     """
-    rails: dict[str, RailPair] = {}
-    for g in b.gates:
-        if RAIL_SEPARATOR in g.name:
-            raise ValueError(
-                f"gate name {g.name!r} contains the reserved rail separator "
-                f"{RAIL_SEPARATOR!r}")
-        if g.op == NOT:
-            src = rails[g.args[0]]
-            rails[g.name] = RailPair(src.one_rail, src.zero_rail)
-        else:
-            rails[g.name] = RailPair(g.name + "__0", g.name + "__1")
-    return rails
+    zero, one = _rails(b)
+    return {g.name: RailPair(z, o) for g, z, o in zip(b.gates, zero, one)}
 
 
 def dual_rail_transform(b: Circuit) -> Circuit:
@@ -128,29 +143,30 @@ def dual_rail_transform(b: Circuit) -> Circuit:
       and w a b    ->  w__0 = a__0 or  b__0,  w__1 = a__1 and b__1
       or  w a b    ->  w__0 = a__0 and b__0,  w__1 = a__1 or  b__1
     Each source output maps to its one-rail.  The result carries at most two
-    AND/OR gates per source gate and no NOT gates at all.
+    AND/OR gates per source gate and no NOT gates at all.  The rails of every
+    source gate are computed once, in a list indexed by gate position, and
+    operand rails are read by the operands' positions.
     """
-    rails = rail_map(b)
+    zero, one = _rails(b)
     gates: list[Gate] = []
-    for g in b.gates:
-        z, o = g.name + "__0", g.name + "__1"
-        if g.op == INPUT:
-            gates.append(Gate(z, INPUT))
-            gates.append(Gate(o, INPUT))
-        elif g.op == CONST:
-            gates.append(Gate(z, CONST, value=1 - g.value))
-            gates.append(Gate(o, CONST, value=g.value))
-        elif g.op == NOT:
-            pass  # aliased in rail_map; zero gates
-        else:
-            pa, pb = rails[g.args[0]], rails[g.args[1]]
-            if g.op == AND:
-                gates.append(Gate(z, OR, (pa.zero_rail, pb.zero_rail)))
-                gates.append(Gate(o, AND, (pa.one_rail, pb.one_rail)))
-            else:
-                gates.append(Gate(z, AND, (pa.zero_rail, pb.zero_rail)))
-                gates.append(Gate(o, OR, (pa.one_rail, pb.one_rail)))
-    outputs = tuple(rails[o].one_rail for o in b.outputs)
+    append = gates.append
+    for (_, op, _, value), pos, z, o in zip(b.gates, b._arg_pos, zero, one):
+        if op == AND:
+            x, y = pos
+            append(Gate(z, OR, (zero[x], zero[y])))
+            append(Gate(o, AND, (one[x], one[y])))
+        elif op == OR:
+            x, y = pos
+            append(Gate(z, AND, (zero[x], zero[y])))
+            append(Gate(o, OR, (one[x], one[y])))
+        elif op == INPUT:
+            append(Gate(z, INPUT))
+            append(Gate(o, INPUT))
+        elif op == CONST:
+            append(Gate(z, CONST, value=1 - value))
+            append(Gate(o, CONST, value=value))
+        # NOT: its rails alias the operand's, swapped in _rails; zero gates
+    outputs = tuple(one[b._index[w]] for w in b.outputs)
     return Circuit(tuple(gates), outputs)
 
 
@@ -163,23 +179,22 @@ def validate_rail_complement(b: Circuit, m: Circuit) -> CounterexampleReport | N
     n = len(b.inputs)
     if n > 12:
         raise ValueError("rail validation sweeps all assignments; max 12 inputs")
-    rails = rail_map(b)
+    zero_rails, one_rails = _rails(b)
     full = full_mask(n)
     vals = evaluate_masks(m, rail_masks(input_masks(n), full), full)
-    for g in b.gates:
-        rp = rails[g.name]
-        mismatch = vals[rp.zero_rail] ^ (full ^ vals[rp.one_rail])
+    for z, o in zip(zero_rails, one_rails):
+        mismatch = vals[z] ^ (full ^ vals[o])
         if mismatch:
             i = lowest_set_bit(mismatch)
             x = assignment_of_index(i, n)
             flat = tuple(int(ch) for ch in flatten_bits("".join(str(v) for v in x)))
-            one = (vals[rp.one_rail] >> i) & 1
-            zero = (vals[rp.zero_rail] >> i) & 1
+            one = (vals[o] >> i) & 1
+            zero = (vals[z] >> i) & 1
             return CounterexampleReport(
                 kind=RAIL,
                 witness=(flat,),
                 expected=(1 - one,),
                 observed=(zero,),
-                detail=rp.zero_rail,
+                detail=z,
             )
     return None

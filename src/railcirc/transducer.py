@@ -3,7 +3,7 @@
 The transducer reads the input once, front to back, and emits the two-bit
 encoding of each bit (0 -> 10, 1 -> 01) before the next read.  Its working
 state is a position counter plus a fixed finite control, so the instrumented
-peak never exceeds ceil(log2(bits_read + 1)) + CONTROL_STATE_BITS, i.e. the
+peak is exactly ceil(log2(bits_read + 1)) + CONTROL_STATE_BITS, i.e. the
 memory footprint is logarithmic in the input length.
 """
 
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 # halt flag); everything else the transducer remembers is the position
 # counter, whose width is what grows with the input.
 CONTROL_STATE_BITS = 2
+
+_ENCODE = {"0": "10", "1": "01", 0: "10", 1: "01"}
 
 
 @dataclass(frozen=True)
@@ -28,21 +30,24 @@ def stream_flatten(source, sink) -> TransducerStats:
     """Flatten a bit stream into ``sink`` in one forward pass.
 
     ``source`` yields bits as '0'/'1' characters (ints 0/1 also accepted);
-    ``sink`` is file-like (a ``write`` method taking str).  Both encoded
-    output bits of a read are written before the next read happens.
+    each is looked up in one encoding table, and anything else raises
+    ``ValueError``.  ``sink`` is file-like (a ``write`` method taking str).
+    Both encoded output bits of a read are written before the next read
+    happens.  The peak grows by one bit each time the read count reaches a
+    power of two, so it equals ``reads.bit_length() + CONTROL_STATE_BITS``.
     """
     write = sink.write
     reads = 0
+    widens_at = 1  # the read count at which the counter needs one more bit
     peak = CONTROL_STATE_BITS
     for bit in source:
-        if bit == "0" or bit == 0:
-            write("10")
-        elif bit == "1" or bit == 1:
-            write("01")
-        else:
-            raise ValueError(f"non-bit symbol {bit!r} in source")
+        try:
+            pair = _ENCODE[bit]
+        except (KeyError, TypeError):  # TypeError: an unhashable symbol
+            raise ValueError(f"non-bit symbol {bit!r} in source") from None
+        write(pair)
         reads += 1
-        width = reads.bit_length() + CONTROL_STATE_BITS
-        if width > peak:
-            peak = width
+        if reads == widens_at:
+            peak += 1
+            widens_at <<= 1
     return TransducerStats(reads, 2 * reads, peak)

@@ -104,10 +104,14 @@ def test_parse_errors_name_their_line(body, line, match):
     ((Gate("x", INPUT), Gate("é", INPUT)), 1, "invalid name"),
     ((Gate(5, INPUT),), 0, "invalid name 5"),
     ((Gate("x", INPUT), Gate("g", ["and"], ("x", "x"))), 1, "unknown gate kind"),
+    ((Gate("x", INPUT), Gate("g", NOT, (["x"],))), 1, "invalid operand in gate 'g'"),
+    # no position: the fault is in the outputs, given with the gates
+    (((Gate("x", INPUT),), (["x"],)), None, r"undefined gate \['x'\]"),
 ])
 def test_circuit_rejects_bad_gates(gates, pos, match):
+    gates, outputs = gates if pos is None else (gates, ())
     with pytest.raises(NetlistError, match=match) as info:
-        Circuit(gates, ())
+        Circuit(gates, outputs)
     assert info.value.gate == pos and info.value.line is None
 
 
@@ -144,6 +148,35 @@ def test_round_trip_on_random_circuits():
         assert again == c
         # canonical text is a fixed point
         assert emit_netlist(again) == emit_netlist(c)
+
+
+def _messy_text(rng, c: Circuit) -> str:
+    """The netlist of c with comments, blank lines, tabs, runs of spaces
+    and mixed LF/CRLF line endings around and between its tokens."""
+    gaps = (" ", "  ", "\t", " \t ", "\t\t")
+    rows = [[g.op, g.name, *g.args] if g.op != CONST else [CONST, g.name, str(g.value)]
+            for g in c.gates] + [["output", o] for o in c.outputs]
+    lines = []
+    for row in rows:
+        if rng.random() < 0.3:
+            lines.append(rng.choice(("", "  ", "\t", "# and g x y", " # output z")))
+        line = rng.choice(("", " ", "\t")) + rng.choice(gaps).join(row)
+        if rng.random() < 0.3:
+            line += rng.choice(gaps) + "# not " + row[1]
+        lines.append(line + rng.choice(("", " ", "\t")))
+    return "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+
+
+def test_round_trip_through_generated_netlist_text():
+    rng = random.Random(2718)
+    for _ in range(60):
+        b = random_circuit(rng, max_inputs=6, max_gates=30)
+        c = Circuit((Gate("k", CONST, value=rng.randint(0, 1)),) + b.gates,
+                    b.outputs + ("k",))
+        text = _messy_text(rng, c)
+        assert "\r\n" in text and "#" in text and "\t" in text
+        assert emit_netlist(parse_netlist(text)) == emit_netlist(c)
+        assert parse_netlist(emit_netlist(c)) == c
 
 
 def test_evaluate_classifier():

@@ -1,10 +1,11 @@
 """Command line behavior: output formats, files, and exit codes."""
 
 import io
+import random
 
 import pytest
 
-from railcirc import parse_netlist, stats
+from railcirc import flatten_bits, parse_netlist, stats
 from railcirc.cli import main
 
 from helpers import FIXTURES
@@ -135,6 +136,38 @@ def test_stream_flatten_rejects_junk(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("01a1\n"))
     assert main(["stream-flatten"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_stream_flatten_across_chunk_edges(monkeypatch, capsys):
+    rng = random.Random(8192)
+    bits = "".join(rng.choice("01") for _ in range(20000))
+    # newlines every 1..97 bits, plus one on each side of the first
+    # 8192-character read edge and one opening the third read
+    pieces, i = [], 0
+    while i < len(bits):
+        step = rng.randint(1, 97)
+        pieces.append(bits[i:i + step])
+        i += step
+    text = "\n".join(pieces) + "\n"
+    text = text[:8191] + "\n\n" + text[8191:]
+    text = text[:16384] + "\n" + text[16384:]
+    assert text[8191:8193] == "\n\n" and text[16384] == "\n"
+    assert len(text) > 2 * 8192
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["stream-flatten"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == flatten_bits(bits)
+    assert captured.err == "read=20000 written=40000 peak_state_bits=17\n"
+
+
+def test_flatten_rejects_reserved_separator(tmp_path, capsys):
+    src = tmp_path / "reserved.net"
+    src.write_text("input x\ninput a__b\nand g x a__b\noutput g\n")
+    assert main(["flatten", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "'__'" in captured.err
 
 
 def test_missing_file_is_a_usage_error(capsys):

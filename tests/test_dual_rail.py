@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from railcirc import (FLATTENED, RAIL_SEPARATOR, build_eq_classifier,
+from railcirc import (FLATTENED, NOT, RAIL_SEPARATOR, build_eq_classifier,
                       dual_rail_transform, emit_netlist, evaluate,
                       exhaustive_equiv, flatten_bits,
                       is_structurally_monotone, parse_netlist, rail_map,
@@ -161,3 +161,71 @@ def test_rail_complement_detects_broken_pairing():
     assert (report.expected, report.observed) == ((1,), (0,))
     assert report.to_line() == (
         "kind=RAIL witness=0110 expected=1 observed=0 detail=g__0")
+
+
+EQ_NOT_FLAT = """\
+input x__0
+input x__1
+input y__0
+input y__1
+or p__0 x__0 y__0
+and p__1 x__1 y__1
+or q__0 x__1 y__1
+and q__1 x__0 y__0
+and e__0 p__0 q__0
+or e__1 p__1 q__1
+output e__1
+"""
+
+# NOT of NOT, a NOT as output, a const pair and two outputs.
+SWAPS_SRC = """\
+input x
+input y
+const k 0
+not n x
+not nn n
+and a nn y
+or b a k
+not nb b
+output nb
+output a
+"""
+
+SWAPS_FLAT = """\
+input x__0
+input x__1
+input y__0
+input y__1
+const k__0 1
+const k__1 0
+or a__0 x__0 y__0
+and a__1 x__1 y__1
+and b__0 a__0 k__0
+or b__1 a__1 k__1
+output b__0
+output a__1
+"""
+
+
+@pytest.mark.parametrize("src, flat", [
+    (fixture_text("eq_not.net"), EQ_NOT_FLAT),
+    (SWAPS_SRC, SWAPS_FLAT),
+], ids=["eq_not", "not-swaps"])
+def test_transform_exact_netlist(src, flat):
+    b = parse_netlist(src)
+    m = dual_rail_transform(b)
+    assert emit_netlist(m) == flat
+    assert exhaustive_equiv(b, m, FLATTENED) is None
+
+
+def test_rail_map_names_wires_of_the_rewrite():
+    rng = random.Random(4242)
+    for _ in range(60):
+        b = random_circuit(rng, max_inputs=8, max_gates=50)
+        m = dual_rail_transform(b)
+        rails = rail_map(b)
+        for g in b.gates:
+            if g.op != NOT:
+                assert rails[g.name].zero_rail in m
+                assert rails[g.name].one_rail in m
+        assert m.outputs == tuple(rails[o].one_rail for o in b.outputs)

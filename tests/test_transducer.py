@@ -110,3 +110,29 @@ def test_peak_is_monotone_in_prefix_length():
         result = stream_flatten("1" * n, RecordingSink())
         assert result.peak_state_bits >= prev
         prev = result.peak_state_bits
+
+
+def test_peak_is_exact_across_powers_of_two():
+    # 0..2100 crosses every power of two up to 2**11
+    for n in range(0, 2101):
+        result = stream_flatten("1" * n, RecordingSink())
+        assert result.input_bits_read == n
+        assert result.peak_state_bits == n.bit_length() + CONTROL_STATE_BITS
+
+
+@pytest.mark.parametrize("bad", ["2", "\r", None, 2, [0]],
+                         ids=["char-2", "carriage-return", "none", "int-2", "unhashable"])
+def test_rejects_each_non_bit_after_writing_the_prefix(bad):
+    sink = RecordingSink()
+    with pytest.raises(ValueError, match="non-bit"):
+        stream_flatten(["1", 0, bad, "0"], sink)
+    assert sink.text == "0110"
+
+
+def test_sink_errors_are_not_reported_as_non_bits():
+    class BrokenSink:
+        def write(self, s):
+            raise TypeError("sink refuses")
+
+    with pytest.raises(TypeError, match="sink refuses"):
+        stream_flatten("01", BrokenSink())
