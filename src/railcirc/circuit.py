@@ -58,7 +58,8 @@ class Gate(NamedTuple):
     A named tuple: cheap to build, and since it holds only strings, ints and
     a tuple of strings, the garbage collector stops tracking it after one
     collection.  Nothing is checked here; the Circuit built from it checks
-    every gate, and turns a list ``args`` into a tuple.
+    every gate, turns a list ``args`` into a tuple and rejects any other
+    ``args`` that is not a tuple.
     """
 
     name: str
@@ -104,6 +105,15 @@ class Circuit:
                 raise NetlistError(f"invalid name {name!r}", gate=pos)
             if name in index:
                 raise NetlistError(f"duplicate name {name!r}", gate=pos)
+            if type(args) is not tuple:
+                if not isinstance(args, (tuple, list)):
+                    raise NetlistError(
+                        f"operands of gate {name!r} must be a tuple or a list, "
+                        f"got {args!r}", gate=pos)
+                args = tuple(args)
+                if retupled is None:
+                    retupled = list(gates)
+                retupled[pos] = Gate(name, op, args, value)
             if len(args) != arity:
                 raise NetlistError(
                     f"{op} gate {name!r} takes {arity} operand(s), "
@@ -139,10 +149,6 @@ class Circuit:
             except TypeError:  # an unhashable operand names no wire
                 raise NetlistError(f"invalid operand in gate {name!r}: {args!r}",
                                    gate=pos) from None
-            if type(args) is not tuple:
-                if retupled is None:
-                    retupled = list(gates)
-                retupled[pos] = Gate(name, op, tuple(args), value)
             index[name] = pos
         outputs = tuple(self.outputs)
         for o in outputs:

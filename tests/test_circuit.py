@@ -107,6 +107,11 @@ def test_parse_errors_name_their_line(body, line, match):
     ((Gate("x", INPUT), Gate("g", NOT, (["x"],))), 1, "invalid operand in gate 'g'"),
     # no position: the fault is in the outputs, given with the gates
     (((Gate("x", INPUT),), (["x"],)), None, r"undefined gate \['x'\]"),
+    # a string is not split into operand names, and a non-sequence is named
+    ((Gate("a", INPUT), Gate("b", INPUT), Gate("g", AND, "ab")), 2,
+     "operands of gate 'g' must be a tuple or a list, got 'ab'"),
+    ((Gate("x", INPUT), Gate("g", NOT, 5)), 1,
+     "operands of gate 'g' must be a tuple or a list, got 5"),
 ])
 def test_circuit_rejects_bad_gates(gates, pos, match):
     gates, outputs = gates if pos is None else (gates, ())

@@ -71,7 +71,7 @@ def test_not_gates_are_exactly_the_input_complements():
 
 def test_row_zero_encodes_initial_configuration():
     tm = parse_tm(fixture_text("contains_one.tm"))
-    grid = tableau_trace(tm, "01", 3)
+    grid = tableau_trace(compile_tm(tm, 2, 3), tm, "01", 3)
     conf = initial_configuration(tm, "01")
     assert grid[0] == config_cells(tm, conf, 4)
     assert grid[0] == [("q0", "0"), "1", BLANK, BLANK]
@@ -81,7 +81,7 @@ def test_trace_rows_match_simulator_configurations():
     for tm in _machines():
         for word in ("", "1", "0", "011", "000"):
             t = 2 * len(word) + 4
-            grid = tableau_trace(tm, word, t)
+            grid = tableau_trace(compile_tm(tm, len(word), t), tm, word, t)
             conf = initial_configuration(tm, word)
             for r in range(t + 1):
                 assert grid[r] == config_cells(tm, conf, t + 1), (word, r)
@@ -112,7 +112,7 @@ def test_timeout_reads_as_zero():
 
 def test_halting_is_absorbing_in_the_grid():
     tm = parse_tm(fixture_text("contains_one.tm"))
-    grid = tableau_trace(tm, "1", 4)
+    grid = tableau_trace(compile_tm(tm, 1, 4), tm, "1", 4)
     accept_rows = [r for r, row in enumerate(grid)
                    if any(isinstance(cell, tuple) and cell[0] == tm.accept
                           for cell in row)]
@@ -124,11 +124,11 @@ def test_head_movement_in_trace():
     # parity backs up one cell before accepting
     tm = parse_tm(fixture_text("parity.tm"))
     assert run(tm, "1", 4)[0] == ACCEPT
-    grid = tableau_trace(tm, "1", 4)
+    c = compile_tm(tm, 1, 4)
+    grid = tableau_trace(c, tm, "1", 4)
     heads = [next(c for c, cell in enumerate(row) if isinstance(cell, tuple))
              for row in grid]
     assert heads == [0, 1, 0, 1, 1]
-    c = compile_tm(tm, 1, 4)
     assert evaluate(c, [1]) == [1]
     assert evaluate(c, [0]) == [0]
 
@@ -146,7 +146,7 @@ def test_left_wall_in_circuit_matches_simulator():
         c = compile_tm(tm, len(word), t)
         assert evaluate(c, [int(ch) for ch in word]) == \
             [1 if verdict == ACCEPT else 0], word
-    grid = tableau_trace(tm, "0", 2)
+    grid = tableau_trace(compile_tm(tm, 1, 2), tm, "0", 2)
     assert grid[0][0] == ("q0", "0")
     assert grid[1][0] == ("q0", "1")  # wrote 1, stayed put at the wall
     assert grid[2][0] == "1" and grid[2][1] == ("qa", BLANK)
@@ -181,6 +181,15 @@ def test_invariants_on_generated_machines():
         t = rng.randint(max(1, n - 1), 7)
         raw = compile_tm(tm, n, t)
         where = (tm.delta, n, t)
+        na = len(CellAlphabet.from_machine(tm))
+        assert len(raw.gates) <= SIZE_COEFF * (t + 1) * (t + 1) * na, where
+        # every row of the grid, on every input, is the simulator's
+        # configuration after that many steps (frozen once it halts)
+        for word in _words(n):
+            grid = tableau_trace(raw, tm, word, t)
+            for r, row in enumerate(grid):
+                assert row == config_cells(tm, run(tm, word, r)[1], t + 1), \
+                    (where, word, r)
         accepted = evaluate_masks(raw, input_masks(n), full_mask(n),
                                   raw.outputs)["accepted"]
         assert accepted == sum(1 << i for i, word in enumerate(_words(n))
@@ -237,10 +246,21 @@ def test_size_bound_and_growth():
     for t in (4, 8, 16, 32):
         s = stats(compile_tm(tm, 2, t))
         totals[t] = s.total_gates
-        assert s.total_gates <= SIZE_COEFF * (t + 1) * (t + 1) * na ** 3
+        assert s.total_gates <= SIZE_COEFF * (t + 1) * (t + 1) * na
     # quadratic growth: frozen from measurement, constant 160 leaves headroom
     for t, total in totals.items():
         assert total <= 160 * t * t
     # and it really does grow: 4x the budget is well under 16x the gates
     assert totals[32] < 16 * totals[8]
     assert totals[32] > 4 * totals[8]
+
+
+def test_factored_compile_is_small_and_shallow():
+    # keep/arrive factoring and balanced OR trees give 36,344 gates of depth
+    # 264; an AND per (neighbor head pair, symbol) summed by linear OR
+    # chains needs 108,344 gates of depth 722
+    tm = parse_tm(fixture_text("parity.tm"))
+    for compile_ in (compile_tm, compile_tm_flattened):
+        s = stats(compile_(tm, 6, 24))
+        assert s.total_gates <= 40_000, compile_.__name__
+        assert s.depth <= 300, compile_.__name__
