@@ -23,7 +23,8 @@ definition per line, output lines last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple
 
 INPUT = "input"
 CONST = "const"
@@ -57,9 +58,9 @@ class Gate(NamedTuple):
 
     A named tuple: cheap to build, and since it holds only strings, ints and
     a tuple of strings, the garbage collector stops tracking it after one
-    collection.  Nothing is checked here; the Circuit built from it checks
-    every gate, turns a list ``args`` into a tuple and rejects any other
-    ``args`` that is not a tuple.
+    collection.  Nothing is checked here; ``check_gate`` checks it, in a
+    Circuit or in the streamed dual-rail rewrite, and a Circuit turns a list
+    ``args`` into a tuple.
     """
 
     name: str
@@ -68,15 +69,67 @@ class Gate(NamedTuple):
     value: int | None = None  # const gates only
 
 
+def check_gate(name, op, args, value, index) -> tuple:
+    """Check one gate against the gates defined before it; return what
+    ``index`` maps its operands to.
+
+    ``index`` maps every name defined so far: ``Circuit`` passes name ->
+    position, the streamed dual-rail rewrite passes name -> rail pair.
+    This is the one structural rule set: known kind, name syntax, no
+    duplicate, a tuple or list of operands of the kind's arity, a 0/1
+    payload on const gates only, operands defined above.  Raises
+    NetlistError without a location; the caller adds the gate position or
+    the source line.
+    """
+    try:
+        arity = _ARITY.get(op)
+    except TypeError:  # an unhashable op names no gate kind either
+        arity = None
+    if arity is None:
+        raise NetlistError(f"unknown gate kind {op!r}")
+    # for ASCII text, isidentifier() is exactly [A-Za-z_][A-Za-z0-9_]*
+    try:
+        named = name.isascii() and name.isidentifier()
+    except AttributeError:  # not a string
+        named = False
+    if not named:
+        raise NetlistError(f"invalid name {name!r}")
+    if name in index:
+        raise NetlistError(f"duplicate name {name!r}")
+    if type(args) is not tuple and not isinstance(args, (tuple, list)):
+        raise NetlistError(
+            f"operands of gate {name!r} must be a tuple or a list, got {args!r}")
+    if len(args) != arity:
+        raise NetlistError(
+            f"{op} gate {name!r} takes {arity} operand(s), got {len(args)}")
+    if op == CONST:
+        if value not in (0, 1):
+            raise NetlistError(f"const gate {name!r} must carry 0 or 1")
+    elif value is not None:
+        raise NetlistError(f"{op} gate {name!r} must not carry a value")
+    try:
+        if arity == 2:
+            return index[args[0]], index[args[1]]
+        if arity:
+            return (index[args[0]],)
+        return ()
+    except KeyError as exc:
+        raise NetlistError(
+            f"undefined reference {exc.args[0]!r} in gate {name!r}") from None
+    except TypeError:  # an unhashable operand names no wire
+        raise NetlistError(f"invalid operand in gate {name!r}: {args!r}") from None
+
+
 @dataclass(frozen=True, repr=False)
 class Circuit:
     """Immutable gate DAG in definition order plus the output wire list.
 
-    Construction validates the whole structure (unique names, known kinds,
-    correct arities, no forward references), so every reachable Circuit is
-    well formed; it is the only structural check, parse_netlist included.
-    Evaluation and the analyses below are pure functions; a Circuit can be
-    shared freely between threads.
+    Construction runs ``check_gate`` on every gate (unique names, known
+    kinds, correct arities, no forward references) and checks the outputs,
+    so every reachable Circuit is well formed; parse_netlist relies on it.
+    The streamed dual-rail rewrite runs the same per-gate check without
+    building a Circuit.  Evaluation and the analyses below are pure
+    functions; a Circuit can be shared freely between threads.
     """
 
     gates: tuple[Gate, ...]
@@ -85,71 +138,22 @@ class Circuit:
     def __post_init__(self):
         gates = tuple(self.gates)
         index: dict[str, int] = {}
-        find = index.get
         inputs: list[str] = []
         arg_pos: list[tuple[int, ...]] = []
         retupled: list[Gate] | None = None
-        for pos, (name, op, args, value) in enumerate(gates):
-            try:
-                arity = _ARITY.get(op)
-            except TypeError:  # an unhashable op names no gate kind either
-                arity = None
-            if arity is None:
-                raise NetlistError(f"unknown gate kind {op!r}", gate=pos)
-            # for ASCII text, isidentifier() is exactly [A-Za-z_][A-Za-z0-9_]*
-            try:
-                named = name.isascii() and name.isidentifier()
-            except AttributeError:  # not a string
-                named = False
-            if not named:
-                raise NetlistError(f"invalid name {name!r}", gate=pos)
-            if name in index:
-                raise NetlistError(f"duplicate name {name!r}", gate=pos)
-            if type(args) is not tuple:
-                if not isinstance(args, (tuple, list)):
-                    raise NetlistError(
-                        f"operands of gate {name!r} must be a tuple or a list, "
-                        f"got {args!r}", gate=pos)
-                args = tuple(args)
-                if retupled is None:
-                    retupled = list(gates)
-                retupled[pos] = Gate(name, op, args, value)
-            if len(args) != arity:
-                raise NetlistError(
-                    f"{op} gate {name!r} takes {arity} operand(s), "
-                    f"got {len(args)}", gate=pos)
-            if op == CONST:
-                if value not in (0, 1):
-                    raise NetlistError(f"const gate {name!r} must carry 0 or 1",
-                                       gate=pos)
-            elif value is not None:
-                raise NetlistError(f"{op} gate {name!r} must not carry a value",
-                                   gate=pos)
-            try:
-                if arity == 2:
-                    a, b = args
-                    pa = find(a)
-                    pb = find(b)
-                    if pa is None or pb is None:
-                        raise NetlistError(
-                            f"undefined reference {a if pa is None else b!r} "
-                            f"in gate {name!r}", gate=pos)
-                    arg_pos.append((pa, pb))
-                elif arity:
-                    (a,) = args
-                    pa = find(a)
-                    if pa is None:
-                        raise NetlistError(
-                            f"undefined reference {a!r} in gate {name!r}", gate=pos)
-                    arg_pos.append((pa,))
-                else:
-                    arg_pos.append(())
-                    if op == INPUT:
-                        inputs.append(name)
-            except TypeError:  # an unhashable operand names no wire
-                raise NetlistError(f"invalid operand in gate {name!r}: {args!r}",
-                                   gate=pos) from None
-            index[name] = pos
+        pos = 0
+        try:
+            for pos, (name, op, args, value) in enumerate(gates):
+                arg_pos.append(check_gate(name, op, args, value, index))
+                if type(args) is not tuple:  # a list or a tuple subclass
+                    if retupled is None:
+                        retupled = list(gates)
+                    retupled[pos] = Gate(name, op, tuple(args), value)
+                if op == INPUT:
+                    inputs.append(name)
+                index[name] = pos
+        except NetlistError as exc:
+            raise NetlistError(str(exc), gate=pos) from None
         outputs = tuple(self.outputs)
         for o in outputs:
             try:
@@ -169,9 +173,6 @@ class Circuit:
         """Input wire names, in definition order."""
         return self._inputs
 
-    def gate(self, name: str) -> Gate:
-        return self.gates[self._index[name]]
-
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
@@ -180,18 +181,19 @@ class Circuit:
                 f"outputs={len(self.outputs)})")
 
 
-def parse_netlist(text: str) -> Circuit:
-    """Parse netlist text into a Circuit, enforcing definition-before-use.
+# Gate from a 4-tuple without the Python frame of Gate.__new__: half the
+# cost of Gate(...) per netlist line.
+_gate = partial(tuple.__new__, Gate)
 
-    Only tokens are checked here; the Circuit constructor checks structure,
-    and a fault it finds is reported at the source line of the failing gate.
+
+def read_netlist(lines: Iterable[str]) -> Iterator[tuple[int, Gate | str]]:
+    """Tokenize netlist lines: (line number, Gate) per definition line and
+    (line number, name) per ``output`` line, comments and blanks skipped.
+
+    Only tokens are checked here (keyword, token count, const value); a
+    fault raises NetlistError at its line.  Lines may keep their newline.
     """
-    gates: list[Gate] = []
-    gate_lines: list[int] = []
-    outputs: list[str] = []
-    # (line, gates defined above it) per output line
-    output_at: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         if "#" in raw:
             raw = raw[:raw.index("#")]
         tokens = raw.split()
@@ -206,23 +208,40 @@ def parse_netlist(text: str) -> Circuit:
                 f"{keyword} line takes {width - 1} token(s) after the keyword, "
                 f"got {len(tokens) - 1}", lineno)
         if width == 4:
-            gates.append(Gate(tokens[1], keyword, (tokens[2], tokens[3])))
+            yield lineno, _gate((tokens[1], keyword, (tokens[2], tokens[3]), None))
         elif keyword == "output":
-            outputs.append(tokens[1])
-            output_at.append((lineno, len(gates)))
-            continue
+            yield lineno, tokens[1]
         elif keyword == CONST:
             if tokens[2] not in ("0", "1"):
                 raise NetlistError(f"const value must be 0 or 1, got {tokens[2]!r}", lineno)
-            gates.append(Gate(tokens[1], CONST, (), int(tokens[2])))
+            yield lineno, _gate((tokens[1], CONST, (), int(tokens[2])))
         else:
-            gates.append(Gate(tokens[1], keyword, tuple(tokens[2:])))
-        gate_lines.append(lineno)
+            yield lineno, _gate((tokens[1], keyword, tuple(tokens[2:]), None))
+
+
+def parse_netlist(text: str) -> Circuit:
+    """Parse netlist text into a Circuit, enforcing definition-before-use.
+
+    read_netlist checks tokens; the Circuit constructor checks structure,
+    and a fault it finds is reported at the source line of the failing gate.
+    """
+    gates: list[Gate] = []
+    gate_at: list[int] = []
+    outputs: list[str] = []
+    # (line, gates defined above it) per output line
+    output_at: list[tuple[int, int]] = []
+    for lineno, item in read_netlist(text.split("\n")):
+        if type(item) is str:
+            outputs.append(item)
+            output_at.append((lineno, len(gates)))
+        else:
+            gates.append(item)
+            gate_at.append(lineno)
     try:
         c = Circuit(gates, outputs)
     except NetlistError as exc:
         if exc.gate is not None:
-            raise NetlistError(str(exc), gate_lines[exc.gate]) from None
+            raise NetlistError(str(exc), gate_at[exc.gate]) from None
         defined = {g.name for g in gates}
         for o, (lineno, _) in zip(outputs, output_at):
             if o not in defined:
@@ -235,19 +254,25 @@ def parse_netlist(text: str) -> Circuit:
     return c
 
 
-def emit_netlist(c: Circuit) -> str:
-    """Render the canonical netlist text; parse(emit(c)) reproduces c."""
+def gate_lines(gates) -> list[str]:
+    """The canonical netlist lines of gates, or of plain tuples in Gate's
+    field order, without newlines."""
     lines = []
     append = lines.append
-    for name, op, args, value in c.gates:
+    for name, op, args, value in gates:
         if args:
             append(f"{op} {name} {' '.join(args)}")
         elif op == INPUT:
             append(f"input {name}")
         else:
             append(f"const {name} {value}")
-    for o in c.outputs:
-        append(f"output {o}")
+    return lines
+
+
+def emit_netlist(c: Circuit) -> str:
+    """Render the canonical netlist text; parse(emit(c)) reproduces c."""
+    lines = gate_lines(c.gates)
+    lines += ["output " + o for o in c.outputs]
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -15,7 +15,7 @@ import sys
 
 from .circuit import (NetlistError, emit_dot, emit_netlist, is_structurally_monotone,
                       parse_netlist, stats)
-from .dualrail import dual_rail_transform, flatten_bits
+from .dualrail import dual_rail_netlist, flatten_bits
 from .tableau import DEFAULT_GATE_CAP, compile_tm, compile_tm_flattened
 from .tm import TMError, parse_tm
 from .transducer import stream_flatten
@@ -49,8 +49,9 @@ def _cmd_flatten(args) -> int:
     if args.bits is not None:
         print(flatten_bits(args.bits))
         return 0
-    circuit = parse_netlist(_read(args.circuit))
-    sys.stdout.write(emit_netlist(dual_rail_transform(circuit)))
+    with open(args.circuit, "r", encoding="utf-8") as fh:
+        text = dual_rail_netlist(fh)
+    sys.stdout.write(text)
     return 0
 
 

@@ -11,15 +11,23 @@ Rail wires are named ``<wire>__0`` (hot when the source bit is 0) and
 circuits handed to the transform must not use it in their own names.
 Behavior of transformed circuits off the valid flattened domain (both rails
 equal) is well defined but carries no guarantees.
+
+The rewrite is local: ``rail_gates`` turns one gate into its rail gates from
+its operands' rails alone.  ``dual_rail_transform`` applies it to a Circuit;
+``dual_rail_netlist`` applies it to netlist text line by line, checking each
+line with the per-gate check that Circuit uses (``circuit.check_gate``) and
+keeping only the rails of each defined name, never a Circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .bitsim import (assignment_of_index, evaluate_masks, full_mask, input_masks,
                      lowest_set_bit, rail_masks)
-from .circuit import AND, CONST, INPUT, NOT, OR, Circuit, Gate
+from .circuit import (AND, CONST, INPUT, NOT, OR, Circuit, Gate, NetlistError,
+                      check_gate, gate_lines, read_netlist)
 from .reports import RAIL, CounterexampleReport
 
 RAIL_SEPARATOR = "__"
@@ -98,76 +106,95 @@ def build_eq_classifier(n: int) -> Circuit:
     return Circuit(tuple(gates), (acc,))
 
 
-def _rails(b: Circuit) -> tuple[list[str], list[str]]:
-    """Zero-rail and one-rail wire names of every source gate, by position.
+def rail_gates(gate: Gate, operands) -> tuple[tuple[str, str], tuple[tuple, ...]]:
+    """The rewrite rule: one source gate's rail pair and the gates carrying it.
 
-    A NOT gate swaps its operand's rails instead of adding gates, so its
-    rails alias wires named after other gates; every other gate ``w`` gets
-    ``w__0`` and ``w__1``.
-    """
-    zero: list[str] = []
-    one: list[str] = []
-    for (name, op, _, _), pos in zip(b.gates, b._arg_pos):
-        if RAIL_SEPARATOR in name:
-            raise ValueError(
-                f"gate name {name!r} contains the reserved rail separator "
-                f"{RAIL_SEPARATOR!r}")
-        if op == NOT:
-            (a,) = pos
-            zero.append(one[a])
-            one.append(zero[a])
-        else:
-            zero.append(name + "__0")
-            one.append(name + "__1")
-    return zero, one
-
-
-def rail_map(b: Circuit) -> dict[str, RailPair]:
-    """Rail names carried by each source wire after the transform.
-
-    Built from the same positional rail pass as ``dual_rail_transform``:
-    NOT gates swap the operand's rails instead of adding gates, so their
-    rails alias wires named after other gates.
-    """
-    zero, one = _rails(b)
-    return {g.name: RailPair(z, o) for g, z, o in zip(b.gates, zero, one)}
-
-
-def dual_rail_transform(b: Circuit) -> Circuit:
-    """Rewrite a circuit into a NOT-free one over rail-pair inputs.
-
-    Per-gate scheme, with (z, o) the rails of a wire:
+    ``operands`` holds the (zero, one) rails of the gate's operands, in
+    order.  With (z, o) the rails of a wire:
       input x      ->  input x__0, input x__1
       const k      ->  const pair (1-k, k)
       not a        ->  rail swap, no gates
       and w a b    ->  w__0 = a__0 or  b__0,  w__1 = a__1 and b__1
       or  w a b    ->  w__0 = a__0 and b__0,  w__1 = a__1 or  b__1
-    Each source output maps to its one-rail.  The result carries at most two
-    AND/OR gates per source gate and no NOT gates at all.  The rails of every
-    source gate are computed once, in a list indexed by gate position, and
-    operand rails are read by the operands' positions.
+    A NOT gate's rails alias its operand's, swapped, so they are named after
+    another gate.  Every rewrite goes through this function, which is the
+    only place the swap is decided and the reserved separator rejected.
+    The rail gates are plain (name, op, args, value) tuples in Gate's field
+    order: the text rewrite formats them at once and never needs a Gate.
     """
-    zero, one = _rails(b)
+    name, op, _, value = gate
+    if RAIL_SEPARATOR in name:
+        raise ValueError(
+            f"gate name {name!r} contains the reserved rail separator "
+            f"{RAIL_SEPARATOR!r}")
+    if op == NOT:
+        ((z, o),) = operands
+        return (o, z), ()
+    z = name + "__0"
+    o = name + "__1"
+    if op == AND:
+        (za, oa), (zb, ob) = operands
+        return (z, o), ((z, OR, (za, zb), None), (o, AND, (oa, ob), None))
+    if op == OR:
+        (za, oa), (zb, ob) = operands
+        return (z, o), ((z, AND, (za, zb), None), (o, OR, (oa, ob), None))
+    if op == INPUT:
+        return (z, o), ((z, INPUT, (), None), (o, INPUT, (), None))
+    return (z, o), ((z, CONST, (), 1 - value), (o, CONST, (), value))
+
+
+def rail_map(b: Circuit) -> dict[str, RailPair]:
+    """Rail names carried by each source wire after the transform."""
+    rails: dict[str, tuple[str, str]] = {}
+    for gate in b.gates:
+        rails[gate.name] = rail_gates(gate, [rails[a] for a in gate.args])[0]
+    return {w: RailPair(z, o) for w, (z, o) in rails.items()}
+
+
+def dual_rail_transform(b: Circuit) -> Circuit:
+    """Rewrite a circuit into a NOT-free one over rail-pair inputs.
+
+    Each gate goes through ``rail_gates``, its operands' rails read by
+    position, and each source output maps to its one-rail.  The result
+    carries at most two AND/OR gates per source gate and no NOT gates at all.
+    """
+    rails: list[tuple[str, str]] = []
     gates: list[Gate] = []
-    append = gates.append
-    for (_, op, _, value), pos, z, o in zip(b.gates, b._arg_pos, zero, one):
-        if op == AND:
-            x, y = pos
-            append(Gate(z, OR, (zero[x], zero[y])))
-            append(Gate(o, AND, (one[x], one[y])))
-        elif op == OR:
-            x, y = pos
-            append(Gate(z, AND, (zero[x], zero[y])))
-            append(Gate(o, OR, (one[x], one[y])))
-        elif op == INPUT:
-            append(Gate(z, INPUT))
-            append(Gate(o, INPUT))
-        elif op == CONST:
-            append(Gate(z, CONST, value=1 - value))
-            append(Gate(o, CONST, value=value))
-        # NOT: its rails alias the operand's, swapped in _rails; zero gates
-    outputs = tuple(one[b._index[w]] for w in b.outputs)
-    return Circuit(tuple(gates), outputs)
+    for gate, pos in zip(b.gates, b._arg_pos):
+        pair, new = rail_gates(gate, [rails[p] for p in pos])
+        rails.append(pair)
+        gates += map(Gate._make, new)
+    return Circuit(tuple(gates), tuple(rails[b._index[w]][1] for w in b.outputs))
+
+
+def dual_rail_netlist(lines: Iterable[str]) -> str:
+    """The canonical text of the dual-rail rewrite of netlist lines.
+
+    Equal to ``emit_netlist(dual_rail_transform(parse_netlist(text)))`` on
+    every valid netlist, but built line by line without either circuit: each
+    line is tokenized by ``read_netlist``, checked by ``check_gate`` against
+    the rails of the names defined above it, and rewritten by
+    ``rail_gates``; its rail lines go to a buffer, ``output`` lines after
+    them.  A fault raises NetlistError at the first faulty line in file
+    order, whatever its kind, and no text is returned.
+    """
+    rails: dict[str, tuple[str, str]] = {}
+    out: list[str] = []
+    outputs: list[str] = []
+    for lineno, item in read_netlist(lines):
+        try:
+            if type(item) is str:
+                if item not in rails:
+                    raise NetlistError(f"undefined reference {item!r}")
+                outputs.append("output " + rails[item][1])
+                continue
+            pair, new = rail_gates(item, check_gate(*item, rails))
+        except ValueError as exc:
+            raise NetlistError(str(exc), lineno) from None
+        rails[item.name] = pair
+        out += gate_lines(new)
+    out += outputs
+    return "\n".join(out) + "\n" if out else ""
 
 
 def validate_rail_complement(b: Circuit, m: Circuit) -> CounterexampleReport | None:
@@ -179,10 +206,10 @@ def validate_rail_complement(b: Circuit, m: Circuit) -> CounterexampleReport | N
     n = len(b.inputs)
     if n > 12:
         raise ValueError("rail validation sweeps all assignments; max 12 inputs")
-    zero_rails, one_rails = _rails(b)
     full = full_mask(n)
     vals = evaluate_masks(m, rail_masks(input_masks(n), full), full)
-    for z, o in zip(zero_rails, one_rails):
+    for pair in rail_map(b).values():
+        z, o = pair.zero_rail, pair.one_rail
         mismatch = vals[z] ^ (full ^ vals[o])
         if mismatch:
             i = lowest_set_bit(mismatch)

@@ -228,6 +228,7 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
     # does not come in) and arrive_q (a neighbor's head coming in in state
     # q) are ORed once, then ANDed with the symbol the cell holds; a head on
     # the cell itself feeds its step's target directly.
+    row_start = len(gates)
     for r in range(1, t + 1):
         pr = r - 1
 
@@ -286,14 +287,18 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
                     or_tree(ws, name)
                 else:
                     gates.append(Gate(name, CONST, value=0))
-        if len(gates) > gate_cap:
-            raise GateCapError(f"{len(gates)} gates exceed the cap of {gate_cap}")
+        if r == 1:
+            # Every row of 1..t has row 1's gates, and the accept tree ORs
+            # cols * S wires with cols * S - 1 gates: the exact total is
+            # known before row 2 is built.
+            total = (len(gates) + (t - 1) * (len(gates) - row_start)
+                     + cols * len(tm.alphabet) - 1)
+            if total > gate_cap:
+                raise GateCapError(f"{total} gates exceed the cap of {gate_cap}")
 
     accept_wires = [wire(t, c, pair_idx[(tm.accept, s)])
                     for c in range(cols) for s in tm.alphabet]
     or_tree(accept_wires, "accepted")
-    if len(gates) > gate_cap:
-        raise GateCapError(f"{len(gates)} gates exceed the cap of {gate_cap}")
     return Circuit(tuple(gates), ("accepted",))
 
 

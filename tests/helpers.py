@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from railcirc import (AND, INPUT, NOT, ONE_HOT, OR, CellAlphabet, Circuit,
+from railcirc import (AND, CONST, INPUT, NOT, ONE_HOT, OR, CellAlphabet, Circuit,
                       CounterexampleReport, Gate)
 from railcirc.bitsim import (assignment_of_index, evaluate_masks, full_mask,
                              input_masks, lowest_set_bit)
@@ -39,6 +39,38 @@ def random_circuit(rng, max_inputs=10, max_gates=60, ops=(AND, OR, NOT)) -> Circ
 
 def random_monotone_circuit(rng, max_inputs=10, max_gates=60) -> Circuit:
     return random_circuit(rng, max_inputs, max_gates, ops=(AND, OR))
+
+
+def messy_netlist(rng, c: Circuit, early_outputs: bool = False) -> str:
+    """The netlist of c with comments, blank lines, tabs, runs of spaces
+    and mixed LF/CRLF line endings around and between its tokens.
+
+    Output lines come last, or with early_outputs each at a random place
+    below its gate's definition, later gates possibly after it; the output
+    order is kept either way.
+    """
+    gaps = (" ", "  ", "\t", " \t ", "\t\t")
+    rows = [[g.op, g.name, *g.args] if g.op != CONST else [CONST, g.name, str(g.value)]
+            for g in c.gates]
+    outs = [["output", o] for o in c.outputs]
+    if early_outputs:
+        defined = {g.name: i + 1 for i, g in enumerate(c.gates)}
+        slots = []  # number of gate rows above each output row
+        for o in c.outputs:
+            slots.append(rng.randint(max(slots[-1:] + [defined[o]]), len(rows)))
+        for k in reversed(range(len(outs))):
+            rows.insert(slots[k], outs[k])
+    else:
+        rows += outs
+    lines = []
+    for row in rows:
+        if rng.random() < 0.3:
+            lines.append(rng.choice(("", "  ", "\t", "# and g x y", " # output z")))
+        line = rng.choice(("", " ", "\t")) + rng.choice(gaps).join(row)
+        if rng.random() < 0.3:
+            line += rng.choice(gaps) + "# not " + row[1]
+        lines.append(line + rng.choice(("", " ", "\t")))
+    return "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
 
 
 def one_hot_report(circuit, tm, t, masks=None, full=None):

@@ -9,7 +9,7 @@ from railcirc import (AND, CONST, INPUT, NOT, OR, Circuit, Gate, NetlistError, e
                       parse_netlist, stats, wire_values)
 from railcirc.verify import check_semantic_monotone
 
-from helpers import random_circuit, random_monotone_circuit
+from helpers import messy_netlist, random_circuit, random_monotone_circuit
 
 EQ_CLASSIFIER_SRC = """\
 input x0
@@ -155,30 +155,13 @@ def test_round_trip_on_random_circuits():
         assert emit_netlist(again) == emit_netlist(c)
 
 
-def _messy_text(rng, c: Circuit) -> str:
-    """The netlist of c with comments, blank lines, tabs, runs of spaces
-    and mixed LF/CRLF line endings around and between its tokens."""
-    gaps = (" ", "  ", "\t", " \t ", "\t\t")
-    rows = [[g.op, g.name, *g.args] if g.op != CONST else [CONST, g.name, str(g.value)]
-            for g in c.gates] + [["output", o] for o in c.outputs]
-    lines = []
-    for row in rows:
-        if rng.random() < 0.3:
-            lines.append(rng.choice(("", "  ", "\t", "# and g x y", " # output z")))
-        line = rng.choice(("", " ", "\t")) + rng.choice(gaps).join(row)
-        if rng.random() < 0.3:
-            line += rng.choice(gaps) + "# not " + row[1]
-        lines.append(line + rng.choice(("", " ", "\t")))
-    return "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
-
-
 def test_round_trip_through_generated_netlist_text():
     rng = random.Random(2718)
     for _ in range(60):
         b = random_circuit(rng, max_inputs=6, max_gates=30)
         c = Circuit((Gate("k", CONST, value=rng.randint(0, 1)),) + b.gates,
                     b.outputs + ("k",))
-        text = _messy_text(rng, c)
+        text = messy_netlist(rng, c)
         assert "\r\n" in text and "#" in text and "\t" in text
         assert emit_netlist(parse_netlist(text)) == emit_netlist(c)
         assert parse_netlist(emit_netlist(c)) == c

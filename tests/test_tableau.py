@@ -1,6 +1,7 @@
 """Machine-to-circuit compilation: grid layout, agreement, invariants, size."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -237,6 +238,30 @@ def test_gate_cap_enforced():
     # the cap is on the total, not the grid bound
     big = compile_tm(tm, 2, 8)
     assert len(big.gates) <= 10_000_000
+
+
+@pytest.mark.parametrize("flattened", [False, True], ids=["raw", "flattened"])
+def test_gate_cap_is_exact(flattened):
+    build = compile_tm_flattened if flattened else compile_tm
+    for tm in _machines():
+        for n, t in ((0, 1), (1, 1), (2, 1), (2, 3), (3, 6), (4, 12)):
+            exact = len(build(tm, n, t).gates)
+            assert len(build(tm, n, t, gate_cap=exact).gates) == exact
+            with pytest.raises(GateCapError, match=f"^{exact} gates exceed"):
+                build(tm, n, t, gate_cap=exact - 1)
+
+
+def test_gate_cap_rejects_before_building():
+    # 2,449,832 gates, known once row 1 of 200 is built
+    tm = parse_tm(fixture_text("parity.tm"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GateCapError, match="^2449832 gates exceed"):
+            compile_tm(tm, 6, 200, gate_cap=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_size_bound_and_growth():
