@@ -5,7 +5,8 @@ is an immutable sequence of gates in definition order together with the
 designated output wires; definitions must appear before use, so a well-formed
 gate list is already topologically sorted and acyclic.
 
-Netlist grammar (UTF-8, LF line endings, ``#`` starts a comment):
+Netlist grammar (UTF-8, ``#`` starts a comment; lines end at LF, CRLF or
+a lone CR):
 
     input  NAME
     const  NAME (0|1)
@@ -222,6 +223,8 @@ def read_netlist(lines: Iterable[str]) -> Iterator[tuple[int, Gate | str]]:
 def parse_netlist(text: str) -> Circuit:
     """Parse netlist text into a Circuit, enforcing definition-before-use.
 
+    Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as the CLI's files are
+    read; other whitespace, form feed included, only separates tokens.
     read_netlist checks tokens; the Circuit constructor checks structure,
     and a fault it finds is reported at the source line of the failing gate.
     """
@@ -230,6 +233,8 @@ def parse_netlist(text: str) -> Circuit:
     outputs: list[str] = []
     # (line, gates defined above it) per output line
     output_at: list[tuple[int, int]] = []
+    if "\r" in text:  # universal newlines: \r\n and a lone \r end a line
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, item in read_netlist(text.split("\n")):
         if type(item) is str:
             outputs.append(item)

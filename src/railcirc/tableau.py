@@ -17,24 +17,40 @@ bit.  The flattened variant replaces each input with a rail pair
 uses the complement; everything past the input layer is identical, so the
 flattened circuit is NOT-free.
 
-Each cell of rows 1..t is built from two kinds of indicator over its
-window in the previous row.  ``keep`` is 1 when the cell keeps its symbol:
-no head nearby, or a head on a neighbor that does not move onto the cell.
-``arrive_q``, one per state q, is 1 when a neighbor's head moves onto the
-cell in state q.  Plain symbol g is then ``keep AND holds g``, and head pair
-(q, g) is ``arrive_q AND holds g``, each ORed with the head-on-cell cases
-whose step writes it.  Every multi-input OR, the accept output included, is
-a balanced tree, so a row adds depth logarithmic in the alphabet.
+After r steps the head is at column r or less.  So a cell (r, c) with
+c > r, outside the light cone, still holds its row-0 symbol, and each of its
+wires is built as a copy of row 0: a const where row 0 has a const, else one
+OR buffer of the row-0 wire (never of row r-1, which would add a level per
+row).  On every raw input and every complementary rail assignment this
+equals simulating the cell; a rail pair of two equal bits is outside the
+flattened circuit's domain.
+
+Each cell of the cone, c <= r, is built from two kinds of indicator over
+its window in the previous row.  ``keep`` is 1 when the cell keeps its
+symbol: no head nearby, or a head on a neighbor that does not move onto the
+cell.  ``arrive_q``, one per state q, is 1 when a neighbor's head moves onto
+the cell in state q.  Plain symbol g is then ``keep AND holds g``, and head
+pair (q, g) is ``arrive_q AND holds g``, each ORed with the head-on-cell
+cases whose step writes it.  Only what the cone reads is built: the
+no-head-nearby guards (``sym_`` per previous-row column up to r + 1,
+``nh_`` per column up to r), and the head pairs of previous-row cells up to
+column r - 1; the others are const 0 on every assignment.  Every
+multi-input OR, the accept output included, merges its two shallowest
+operands first, which gives the least depth for their arrival times
+(Golumbic 1976); depths are kept for the previous row only.  A row adds
+about six levels.
 
 Wire naming contract: the one-hot wire for symbol index k of cell (r, c) is
 ``c_{r}_{c}_{k}``, with k indexing the cell alphabet.  These names are
-stable and safe to decode; all other internal names (the keep and arrive
-indicators and the OR-tree nodes among them) are unspecified.
+stable and safe to decode; all other internal names (the sym, nh, keep and
+arrive guards and the OR-tree nodes among them) are unspecified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
+from itertools import product
 from typing import Union
 
 from .bitsim import wire_values
@@ -53,9 +69,11 @@ DEFAULT_GATE_CAP = 10_000_000
 #   S + S*A     guarded ANDs
 #   2P - S*A    one-hot ORs over the P head-on-cell wires, plus a const or
 #               buffer per unguarded head-pair target
-# = 2S + 4P - A <= 4 * len(alphabet) - 2S.  Row 0 takes len(alphabet) gates
-# per cell; the inputs and the accept OR fit in the rest of its share.
-# Measured peak over the fixtures and 330 generated machines: 3.3.
+# = 2S + 4P - A <= 4 * len(alphabet) - 2S.  Row 0 and the copies outside
+# the light cone take len(alphabet) gates per cell; the inputs and the
+# accept OR fit in the rest of row 0's share.  Measured peak over the
+# fixtures and 330 generated machines with up to 8 working states: 2.12
+# (parity, n=6, t=24).
 SIZE_COEFF = 4
 
 
@@ -123,11 +141,13 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
         raise GateCapError(
             f"grid alone needs {(t + 1) * cols * na} gates, cap is {gate_cap}")
 
-    sym_idx = {s: ab.index_of(s) for s in tm.alphabet}
+    n_sym = len(tm.alphabet)  # tape symbols take cell indices 0..n_sym-1
     pair_idx = {(q, s): ab.index_of((q, s)) for q in tm.states for s in tm.alphabet}
     idx_of = ab.index_of
     halting = (tm.accept, tm.reject)
     state_no = {q: j for j, q in enumerate(tm.states)}
+    # held[k]: the tape symbol a cell must hold for a guard to produce k
+    held = [idx_of(e if type(e) is str else e[1]) for e in ab.entries]
 
     # Next-content tables, precomputed per machine.  here[at_wall][k]: the
     # head pairs whose step leaves target k on the head's own cell, away from
@@ -153,33 +173,83 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
         enter_from_left.append((p, q_right))
         enter_from_right.append((p, q_left))
 
+    def plan(wall: bool, right: bool, own: bool):
+        """Guards, targets and gate count of a cell of rows 1..t.
+
+        The cell reads the head pairs of its left neighbor unless it is the
+        wall cell, and those of its right neighbor and of itself only where
+        they lie inside the previous row's cone; outside it they are const 0.
+        guards: (name prefix, [(column offset, head pair)]), keep first, then
+        one arrive guard per arriving state.  targets[k]: (the head pairs
+        on the cell whose step writes k, index of the guard ANDed with the
+        held symbol, or None).
+        """
+        keep: list[tuple[int, int]] = []
+        arrive: dict[str, list[tuple[int, int]]] = {}
+        for dc, live, enters in ((-1, not wall, enter_from_left),
+                                 (1, right, enter_from_right)):
+            if live:
+                for p, q_in in enters:
+                    if q_in is None:
+                        keep.append((dc, p))
+                    else:
+                        arrive.setdefault(q_in, []).append((dc, p))
+        guards = [("keep", keep)]
+        guard_of: list[int | None] = [0] * n_sym + [None] * (na - n_sym)
+        for q_in, srcs in arrive.items():
+            for s in tm.alphabet:
+                guard_of[pair_idx[(q_in, s)]] = len(guards)
+            guards.append((f"arrive{state_no[q_in]}", srcs))
+        targets = [(here[wall][k] if own else [], guard_of[k]) for k in range(na)]
+        # keep ORs in the neighbor guard; a target with a guard is an AND
+        # plus one OR per head pair, one without is an OR tree, a buffer or
+        # a const
+        size = (len(keep) + sum(len(srcs) - 1 for _, srcs in guards[1:])
+                + sum(1 + len(ps) if j is not None else max(len(ps) - 1, 1)
+                      for ps, j in targets))
+        return guards, targets, size
+
+    # Cell (r, c) of rows 1..t is built when c <= r, and is then of kind
+    # (c == 0, c < r - 1, c < r): the wall cell, an interior cell, or one of
+    # the two cone-boundary cells c = r - 1 and c = r.
+    plans = {kind: plan(*kind) for kind in product((False, True), repeat=3)}
+    size = {kind: p[2] for kind, p in plans.items()}
+
+    # Exact gate count, known before anything is built: the input layer,
+    # row 0, then per row the sym_ indicators of previous-row columns
+    # <= r + 1, the nh_ guards of columns 1 <= c <= min(r, t - 1), the cone
+    # cells by kind and a const or buffer per wire of the cone copies; last
+    # the accept tree over cols * S wires.
+    total = 2 * n + cols * na + cols * n_sym - 1
+    for r in range(1, t + 1):
+        total += (min(r + 2, cols) * max(n_sym - 1, 1) + min(r, t - 1)
+                  + size[(True, r > 1, True)]
+                  + max(r - 2, 0) * size[(False, True, True)]
+                  + (r > 1) * size[(False, False, True)]
+                  + size[(False, False, False)]
+                  + (t - r) * na)
+    if total > gate_cap:
+        raise GateCapError(f"{total} gates exceed the cap of {gate_cap}")
+
     gates: list[Gate] = []
     aux = 0
 
-    def wire(r: int, c: int, k: int) -> str:
-        return f"c_{r}_{c}_{k}"
-
-    def or_tree(wires: list[str], final_name: str) -> None:
-        """Balanced OR of wires into final_name; one wire gets an OR buffer."""
+    def or_tree(leaves: list[tuple[int, str]], name: str) -> int:
+        """OR of (depth, wire) leaves into name, merging the two shallowest
+        first; one leaf gets an OR buffer.  Returns the depth of name."""
         nonlocal aux
-        while len(wires) > 2:
-            level = []
-            for i in range(0, len(wires) - 1, 2):
-                name = f"t{aux}"
+        if len(leaves) > 2:
+            heapify(leaves)
+            while len(leaves) > 2:
+                a = heappop(leaves)[1]
+                d, b = leaves[0]
+                node = f"t{aux}"
                 aux += 1
-                gates.append(Gate(name, OR, (wires[i], wires[i + 1])))
-                level.append(name)
-            if len(wires) % 2:
-                level.append(wires[-1])
-            wires = level
-        gates.append(Gate(final_name, OR, (wires[0], wires[-1])))
-
-    def or_wire(wires: list[str], name: str) -> str:
-        """Name of a wire carrying the OR of wires, built only if needed."""
-        if len(wires) == 1:
-            return wires[0]
-        or_tree(wires, name)
-        return name
+                gates.append(Gate(node, OR, (a, b)))
+                heapreplace(leaves, (d + 1, node))
+        (d, a), (e, b) = leaves[0], leaves[-1]
+        gates.append(Gate(name, OR, (a, b)))
+        return max(d, e) + 1
 
     # Input layer.  Standard mode spends the circuit's only NOT gates here;
     # flattened mode takes the complements as inputs instead.
@@ -200,9 +270,11 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
             one_rail.append(f"x{i}")
 
     # Row 0: head merged into cell 0, input bits, then blanks.
+    names = [[f"c_0_{c}_{k}" for k in range(na)] for c in range(cols)]
+    row0 = len(gates)
     for c in range(cols):
         for k, entry in enumerate(ab.entries):
-            name = wire(0, c, k)
+            name = names[c][k]
             if c == 0 and n > 0:
                 if entry == (tm.start, "0"):
                     gates.append(Gate(name, OR, (zero_rail[0], zero_rail[0])))
@@ -223,82 +295,89 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
             else:
                 gates.append(Gate(name, CONST, value=1 if entry == BLANK else 0))
 
-    # Rows 1..t.  The window cases that can produce a cell's next symbol
-    # are factored per cell: keep (no head nearby, or a neighbor's head that
-    # does not come in) and arrive_q (a neighbor's head coming in in state
-    # q) are ORed once, then ANDed with the symbol the cell holds; a head on
-    # the cell itself feeds its step's target directly.
-    row_start = len(gates)
+    # Rows 1..t.  After r steps the head is at column r or less, so cell
+    # (r, c) with c > r still holds its row-0 symbol and is built as a copy
+    # of row 0.  The cells of the cone, c <= r, are factored: keep (no head
+    # nearby, or a neighbor's head that does not come in) and arrive_q (a
+    # neighbor's head coming in in state q) are ORed once, then ANDed with
+    # the symbol the cell holds; a head on the cell itself feeds its step's
+    # target directly.  names/deps hold the previous row's wires and their
+    # depths, counted from row 0 so that the raw and the flattened compile
+    # shape their trees alike; the copies count as row 0.
+    row0_deps = [0] * na
+    deps = [row0_deps] * cols
     for r in range(1, t + 1):
         pr = r - 1
-
-        # "holds a plain symbol" indicator per cell of the previous row
-        symind: list[str] = []
-        for c in range(cols):
+        # "holds a plain symbol" indicators of the previous row, as far as
+        # the cone's cells read them
+        sym = []
+        for c in range(min(r + 2, cols)):
             name = f"sym_{pr}_{c}"
-            or_tree([wire(pr, c, sym_idx[s]) for s in tm.alphabet], name)
-            symind.append(name)
+            nm, dp = names[c], deps[c]
+            sym.append((or_tree([(dp[k], nm[k]) for k in range(n_sym)], name), name))
 
-        # both-neighbors-are-symbols guard; grid edges count as symbols
-        sides: list[str] = []
-        for c in range(cols):
-            left = symind[c - 1] if c > 0 else None
-            right = symind[c + 1] if c < cols - 1 else None
-            if left and right:
-                name = f"nh_{pr}_{c}"
-                gates.append(Gate(name, AND, (left, right)))
-                sides.append(name)
+        row_names, row_deps = [], []
+        for c in range(r + 1):
+            # both-neighbors-are-symbols guard; grid edges count as symbols
+            if c == 0:
+                side = sym[1]
+            elif c == t:
+                side = sym[c - 1]
             else:
-                sides.append(left or right)
+                (dl, left), (dr, right) = sym[c - 1], sym[c + 1]
+                side = (max(dl, dr) + 1, f"nh_{pr}_{c}")
+                gates.append(Gate(side[1], AND, (left, right)))
 
-        for c in range(cols):
-            keep = [sides[c]]
-            arrive: dict[str, list[str]] = {}
-            for nb, enters in ((c - 1, enter_from_left), (c + 1, enter_from_right)):
-                if 0 <= nb < cols:
-                    for p, q_in in enters:
-                        hw = wire(pr, nb, p)
-                        if q_in is None:
-                            keep.append(hw)
-                        else:
-                            arrive.setdefault(q_in, []).append(hw)
-            # term[k]: the (guard, held symbol) AND that produces k, if any
-            term: list[tuple[str, str] | None] = [None] * na
-            kw = or_wire(keep, f"keep_{pr}_{c}")
-            for k in sym_idx.values():
-                term[k] = (kw, wire(pr, c, k))
-            for q_in, ws in arrive.items():
-                aw = or_wire(ws, f"arrive_{pr}_{c}_{state_no[q_in]}")
-                for s, k in sym_idx.items():
-                    term[pair_idx[(q_in, s)]] = (aw, wire(pr, c, k))
+            guards, targets, _ = plans[(c == 0, c < r - 1, c < r)]
+            guard_wires = []
+            for j, (prefix, srcs) in enumerate(guards):
+                leaves = [(deps[c + dc][p], names[c + dc][p]) for dc, p in srcs]
+                if not j:
+                    leaves.append(side)
+                if len(leaves) == 1:
+                    guard_wires.append(leaves[0])
+                else:
+                    name = f"{prefix}_{pr}_{c}"
+                    guard_wires.append((or_tree(leaves, name), name))
 
-            for k, ps in enumerate(here[c == 0]):
-                name = wire(r, c, k)
-                ws = [wire(pr, c, p) for p in ps]
-                if term[k] is not None:
-                    if not ws:
-                        gates.append(Gate(name, AND, term[k]))
+            nm, dp = names[c], deps[c]
+            cell_names = [f"c_{r}_{c}_{k}" for k in range(na)]
+            cell_deps = []
+            for k, (ps, j) in enumerate(targets):
+                name = cell_names[k]
+                leaves = [(dp[p], nm[p]) for p in ps]
+                if j is not None:
+                    gd, g = guard_wires[j]
+                    h = held[k]
+                    d = max(gd, dp[h]) + 1
+                    if not leaves:
+                        gates.append(Gate(name, AND, (g, nm[h])))
+                        cell_deps.append(d)
                         continue
                     an = f"t{aux}"
                     aux += 1
-                    gates.append(Gate(an, AND, term[k]))
-                    ws.append(an)
-                if ws:
-                    or_tree(ws, name)
+                    gates.append(Gate(an, AND, (g, nm[h])))
+                    leaves.append((d, an))
+                if leaves:
+                    cell_deps.append(or_tree(leaves, name))
                 else:
                     gates.append(Gate(name, CONST, value=0))
-        if r == 1:
-            # Every row of 1..t has row 1's gates, and the accept tree ORs
-            # cols * S wires with cols * S - 1 gates: the exact total is
-            # known before row 2 is built.
-            total = (len(gates) + (t - 1) * (len(gates) - row_start)
-                     + cols * len(tm.alphabet) - 1)
-            if total > gate_cap:
-                raise GateCapError(f"{total} gates exceed the cap of {gate_cap}")
+                    cell_deps.append(0)
+            row_names.append(cell_names)
+            row_deps.append(cell_deps)
 
-    accept_wires = [wire(t, c, pair_idx[(tm.accept, s)])
-                    for c in range(cols) for s in tm.alphabet]
-    or_tree(accept_wires, "accepted")
+        for c in range(r + 1, cols):
+            cell_names = [f"c_{r}_{c}_{k}" for k in range(na)]
+            for name, g in zip(cell_names, gates[row0 + c * na:row0 + (c + 1) * na]):
+                gates.append(Gate(name, OR, (g.name, g.name)) if g.op == OR
+                             else Gate(name, CONST, value=g.value))
+            row_names.append(cell_names)
+            row_deps.append(row0_deps)
+        names, deps = row_names, row_deps
+
+    accept = [pair_idx[(tm.accept, s)] for s in tm.alphabet]
+    or_tree([(deps[c][k], names[c][k]) for c in range(cols) for k in accept],
+            "accepted")
     return Circuit(tuple(gates), ("accepted",))
 
 

@@ -132,6 +132,11 @@ def test_parse_accepts_tabs_and_crlf():
     text = "input\tx\ninput\ty  # tabbed\nand\tg\tx\ty\nnot n g\noutput\tn\n"
     c = parse_netlist(text)
     assert parse_netlist(text.replace("\n", "\r\n")) == c
+    # a lone CR ends a line, as universal newlines read it
+    assert parse_netlist(text.replace("\n", "\r")) == c
+    assert parse_netlist("input x\rinput y\n").inputs == ("x", "y")
+    # form feed is whitespace, not a line end
+    assert parse_netlist(text.replace("\t", "\f")) == c
     assert emit_netlist(c) == "input x\ninput y\nand g x y\nnot n g\noutput n\n"
 
 

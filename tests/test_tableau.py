@@ -5,8 +5,8 @@ import tracemalloc
 
 import pytest
 
-from railcirc import (ACCEPT, BLANK, FLATTENED, NOT, CellAlphabet, GateCapError,
-                      TIMEOUT, compile_tm, compile_tm_flattened,
+from railcirc import (ACCEPT, BLANK, CONST, FLATTENED, NOT, OR, CellAlphabet,
+                      GateCapError, TIMEOUT, compile_tm, compile_tm_flattened,
                       config_cells, evaluate, exhaustive_equiv,
                       initial_configuration, parse_tm, run, stats, step,
                       tableau_trace, wire_values)
@@ -198,8 +198,22 @@ def test_invariants_on_generated_machines():
         assert stats(raw).not_count == n, where
         report = one_hot_report(raw, tm, t)
         assert report is None, (where, report.to_line())
-        report = exhaustive_equiv(raw, compile_tm_flattened(tm, n, t), FLATTENED)
+        flat = compile_tm_flattened(tm, n, t)
+        report = exhaustive_equiv(raw, flat, FLATTENED)
         assert report is None, (where, report.to_line())
+        # outside the light cone, c > r, every wire copies row 0: a const
+        # where row 0 has one, else an OR buffer of the row-0 wire
+        for c_ in (raw, flat):
+            gate = {g.name: g for g in c_.gates}
+            for r in range(1, t + 1):
+                for col in range(r + 1, t + 1):
+                    for k in range(na):
+                        g, g0 = gate[f"c_{r}_{col}_{k}"], gate[f"c_0_{col}_{k}"]
+                        if g0.op == CONST:
+                            assert (g.op, g.value) == (CONST, g0.value), (where, g)
+                        else:
+                            assert (g.op, g.args) == (OR, (g0.name, g0.name)), \
+                                (where, g)
 
 
 def test_empty_input_circuit():
@@ -252,11 +266,11 @@ def test_gate_cap_is_exact(flattened):
 
 
 def test_gate_cap_rejects_before_building():
-    # 2,449,832 gates, known once row 1 of 200 is built
+    # 1,588,928 gates, counted by cell kind before row 0 is built
     tm = parse_tm(fixture_text("parity.tm"))
     tracemalloc.start()
     try:
-        with pytest.raises(GateCapError, match="^2449832 gates exceed"):
+        with pytest.raises(GateCapError, match="^1588928 gates exceed"):
             compile_tm(tm, 6, 200, gate_cap=1_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -281,11 +295,20 @@ def test_size_bound_and_growth():
 
 
 def test_factored_compile_is_small_and_shallow():
-    # keep/arrive factoring and balanced OR trees give 36,344 gates of depth
-    # 264; an AND per (neighbor head pair, symbol) summed by linear OR
-    # chains needs 108,344 gates of depth 722
+    # keep/arrive factoring, row-0 copies outside the light cone and OR
+    # trees that merge their two shallowest operands first give 23,848
+    # gates of depth 147 (146 flattened); building every cell, with
+    # balanced trees in leaf order, needs 36,344 gates of depth 264
     tm = parse_tm(fixture_text("parity.tm"))
     for compile_ in (compile_tm, compile_tm_flattened):
         s = stats(compile_(tm, 6, 24))
-        assert s.total_gates <= 40_000, compile_.__name__
-        assert s.depth <= 300, compile_.__name__
+        assert s.total_gates <= 24_000, compile_.__name__
+        assert s.depth <= 150, compile_.__name__
+
+
+def test_depth_per_row():
+    # about 6 levels per row (193 from t=32 to t=64); building every cell
+    # with balanced trees in leaf order adds 9 (289)
+    tm = parse_tm(fixture_text("contains_one.tm"))
+    depth = {t: stats(compile_tm(tm, 2, t)).depth for t in (32, 64)}
+    assert depth[64] - depth[32] <= 32 * 6.25, depth
