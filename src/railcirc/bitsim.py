@@ -9,8 +9,10 @@ one-bit masks.
 
 A mask takes 2**n bits, so holding one per wire costs gates * 2**n / 8
 bytes.  Callers that need only some wires (the verifiers read the outputs)
-name them, and the evaluator then keeps a wire's mask only while a later
-gate still reads it.
+name them, and the evaluator then computes only those wires' cone of
+influence, the gates some requested wire depends on, and keeps a wire's
+mask only while a later gate still reads it.  Naming no wires (None)
+computes and returns every wire.
 """
 
 from __future__ import annotations
@@ -61,53 +63,55 @@ def evaluate_masks(c: Circuit, masks, full: int, wires=None) -> dict[str, int]:
     the valid rail assignments of a flattened circuit.
 
     The result maps each wire named in ``wires`` to its mask (every wire
-    when None); a name the circuit does not define raises ValueError.  Any
-    other wire's mask is dropped as soon as its last reader has run.
+    when None); a name the circuit does not define raises ValueError.  Only
+    the gates some named wire depends on are computed, and any other wire's
+    mask is dropped as soon as its last reader has run.
     """
     if len(masks) != len(c.inputs):
         raise ValueError(
             f"{len(masks)} input masks supplied, circuit has {len(c.inputs)} inputs")
     gates = c.gates
     arg_pos = c._arg_pos
+    index = c._index
     end = len(gates)
     if wires is None:
         last = [end] * end
     else:
-        # last[p]: the position of wire p's last reader; requested wires are
-        # read at the end, and a wire nothing reads dies where it is made.
-        last = list(range(end))
-        for pos, args in enumerate(arg_pos):
-            for a in args:
-                last[a] = pos
-        index = c._index
+        # last[p]: the position of wire p's last reader, end for a requested
+        # wire, -1 for a wire no requested wire depends on.  Walking back
+        # from the end, the first live reader met is the last one to run.
+        last = [-1] * end
         for w in wires:
             p = index.get(w)
             if p is None:
                 raise ValueError(f"circuit defines no wire {w!r}")
             last[p] = end
+        for pos in range(end - 1, -1, -1):
+            if last[pos] >= 0:
+                for a in arg_pos[pos]:
+                    if last[a] < 0:
+                        last[a] = pos
     vals = [0] * end
-    k = 0
+    for name, m in zip(c.inputs, masks):
+        vals[index[name]] = m
     for pos, g in enumerate(gates):
+        if last[pos] < 0:
+            continue
         op = g.op
         if op == AND or op == OR:
             a, b = arg_pos[pos]
-            v = vals[a] & vals[b] if op == AND else vals[a] | vals[b]
+            vals[pos] = vals[a] & vals[b] if op == AND else vals[a] | vals[b]
             if last[a] == pos:
                 vals[a] = 0
             if last[b] == pos:
                 vals[b] = 0
         elif op == NOT:
             (a,) = arg_pos[pos]
-            v = full ^ vals[a]
+            vals[pos] = full ^ vals[a]
             if last[a] == pos:
                 vals[a] = 0
-        elif op == INPUT:
-            v = masks[k]
-            k += 1
-        else:
-            v = full if g.value else 0
-        if last[pos] != pos:
-            vals[pos] = v
+        elif op != INPUT:
+            vals[pos] = full if g.value else 0
     if wires is None:
         return {g.name: vals[pos] for pos, g in enumerate(gates)}
     return {w: vals[index[w]] for w in wires}

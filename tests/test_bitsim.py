@@ -49,6 +49,43 @@ def test_requested_wires_on_random_circuits():
         assert got == want
 
 
+class _Counted(int):
+    """An int that counts in ``ops`` every &, | and ^ applied to it."""
+
+    ops = 0
+
+    def _counting(op):
+        def counted(self, other):
+            _Counted.ops += 1
+            return _Counted(op(self, other))
+        return counted
+
+    __and__ = __rand__ = _counting(int.__and__)
+    __or__ = __ror__ = _counting(int.__or__)
+    __xor__ = __rxor__ = _counting(int.__xor__)
+    del _counting
+
+
+def test_only_the_requested_cone_is_computed():
+    c = Circuit((
+        Gate("x0", INPUT), Gate("x1", INPUT), Gate("x2", INPUT),
+        Gate("a", AND, ("x0", "x1")),
+        Gate("d", OR, ("a", "a")),        # the same operand twice
+        Gate("u", NOT, ("x2",)),          # dead
+        Gate("v", AND, ("u", "x0")),      # dead
+        Gate("n", NOT, ("d",)),           # requested, no output reads it
+        Gate("e", AND, ("d", "x2")),
+    ), ("e",))
+    masks = [_Counted(m) for m in input_masks(3)]
+    full = _Counted(full_mask(3))
+    # the cone of e, n and the input x1 is a, d, n, e; u and v are dead
+    for wires, computed in ((("e", "n", "x1"), 4), (None, 6)):
+        _Counted.ops = 0
+        got = evaluate_masks(c, masks, full, wires)
+        assert _Counted.ops == computed
+        assert got == evaluate_masks(c, input_masks(3), full_mask(3), wires)
+
+
 def test_unknown_wire_is_named():
     c = Circuit((Gate("x", INPUT), Gate("g", NOT, ("x",))), ("g",))
     with pytest.raises(ValueError, match="'ghost'"):

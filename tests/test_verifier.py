@@ -8,7 +8,7 @@ from railcirc import (FLATTENED, RAW, TruthTable, check_semantic_monotone,
                       dual_rail_transform, enumerate_monotone_functions,
                       eq_truth_table, evaluate, exhaustive_equiv,
                       is_monotone_table, parse_netlist, refute_eq_monotone,
-                      size_report, truth_table)
+                      size_report, truth_table, verify)
 
 from helpers import fixture_text, random_circuit
 
@@ -35,6 +35,16 @@ def test_truth_table_guards():
         TruthTable(6, tuple([0] * 64))
     with pytest.raises(ValueError, match="entries"):
         TruthTable(2, (0, 1))
+
+
+def test_truth_table_rejects_arity_before_evaluating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("masks built before the arity check")
+    monkeypatch.setattr(verify, "input_masks", refuse)
+    monkeypatch.setattr(verify, "evaluate_masks", refuse)
+    wide = "".join(f"input x{i}\n" for i in range(6)) + "output x5\n"
+    with pytest.raises(ValueError, match="capped at arity 5"):
+        truth_table(parse_netlist(wide))
 
 
 def test_is_monotone_table():
@@ -74,6 +84,24 @@ def test_census_members_are_monotone_and_complete():
             if is_monotone_table(
                 TruthTable(n, tuple((code >> i) & 1 for i in range(size)))))
         assert brute == len(tables)
+
+
+def _filtered_census(n):
+    """The census by filtering all 2**(2**n) codes for single-bit raises,
+    which covers the pointwise order by transitivity."""
+    size = 1 << n
+    raises = [(i, i | (1 << w))
+              for i in range(size) for w in range(n) if not i & (1 << w)]
+    found = []
+    for code in range(1 << size):
+        if all((code >> lo) & 1 <= (code >> hi) & 1 for lo, hi in raises):
+            found.append(TruthTable(n, tuple((code >> i) & 1 for i in range(size))))
+    return found
+
+
+def test_census_matches_the_filter_in_order():
+    for n in (1, 2, 3, 4):
+        assert enumerate_monotone_functions(n) == _filtered_census(n)
 
 
 def test_census_arity_guard():
