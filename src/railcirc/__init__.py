@@ -10,9 +10,9 @@ from .bitsim import evaluate, wire_values
 from .circuit import (AND, CONST, INPUT, NOT, OR, Circuit, CircuitStats, Gate,
                       NetlistError, emit_dot, emit_netlist,
                       is_structurally_monotone, parse_netlist, stats)
-from .dualrail import (RAIL_SEPARATOR, RailPair, build_eq_classifier,
-                       dual_rail_transform, flatten_bits, rail_map,
-                       unflatten_bits, validate_rail_complement)
+from .dualrail import (RAIL_SEPARATOR, build_eq_classifier, dual_rail_transform,
+                       flatten_bits, rail_map, unflatten_bits,
+                       validate_rail_complement)
 from .reports import (EQUIVALENCE, MONOTONICITY, ONE_HOT, RAIL,
                       CounterexampleReport)
 from .tableau import (DEFAULT_GATE_CAP, CellAlphabet, GateCapError, compile_tm,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 
 from .circuit import (NetlistError, emit_dot, emit_netlist, is_structurally_monotone,
@@ -97,9 +96,8 @@ def _cmd_verify_eq_refute(args) -> int:
 
 def _cmd_stream_flatten(args) -> int:
     del args
-    chunks = iter(functools.partial(sys.stdin.read, 8192), "")
-    bits = itertools.chain.from_iterable(ch.replace("\n", "") for ch in chunks)
-    result = stream_flatten(bits, sys.stdout)
+    reads = iter(functools.partial(sys.stdin.read, 8192), "")
+    result = stream_flatten((read.replace("\n", "") for read in reads), sys.stdout)
     print(f"read={result.input_bits_read} written={result.output_bits_written} "
           f"peak_state_bits={result.peak_state_bits}", file=sys.stderr)
     return 0

@@ -4,7 +4,8 @@ A source bit b is carried by a rail pair (complement, identity): 0 becomes
 ``10`` and 1 becomes ``01``, so exactly one rail of a valid pair is hot.
 Negation then reduces to swapping the two rails, which lets any circuit be
 rewritten into an equivalent one built from AND and OR gates alone, acting
-on flattened inputs.
+on flattened inputs.  ``rail_block`` is the one bit encoder: ``flatten_bits``
+and the streaming transducer both check and encode through it.
 
 Rail wires are named ``<wire>__0`` (hot when the source bit is 0) and
 ``<wire>__1`` (hot when it is 1); the double underscore is reserved, and
@@ -21,7 +22,7 @@ keeping only the rails of each defined name, never a Circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Iterable
 
 from .bitsim import (assignment_of_index, evaluate_masks, full_mask, input_masks,
@@ -32,23 +33,44 @@ from .reports import RAIL, CounterexampleReport
 
 RAIL_SEPARATOR = "__"
 
-_FLATTEN = str.maketrans({"0": "10", "1": "01"})
+_NON_BIT = re.compile("[^01]")
+_ZERO_RAILS = bytes.maketrans(b"01", b"10")
 
 
-@dataclass(frozen=True)
-class RailPair:
-    """The two wires carrying one source bit."""
+def rail_block(block: str) -> tuple[str, int]:
+    """The rail encoding of a block of bits, up to its first non-bit.
 
-    zero_rail: str
-    one_rail: str
+    Returns the encoding (0 -> 10, 1 -> 01) of the longest prefix of
+    ``block`` made of '0' and '1', and the index of the character after
+    that prefix, or -1 when the whole block is bits.  The check is one
+    regex scan, so a non-ASCII character is found before anything is
+    encoded; the encoding is one ``bytes.translate`` of the prefix into the
+    even (zero-rail) slots and the prefix itself in the odd (one-rail) slots.
+    """
+    found = _NON_BIT.search(block)
+    bad = -1 if found is None else found.start()
+    raw = (block if found is None else block[:bad]).encode("ascii")
+    rails = bytearray(2 * len(raw))
+    rails[::2] = raw.translate(_ZERO_RAILS)
+    rails[1::2] = raw
+    return rails.decode("ascii"), bad
+
+
+def non_bit(symbol, position: int) -> ValueError:
+    """The error for a symbol that is neither 0 nor 1, at ``position``."""
+    return ValueError(f"non-bit symbol {symbol!r} at position {position}")
 
 
 def flatten_bits(target: str) -> str:
-    """Encode a bit-string pairwise: 0 -> 10, 1 -> 01."""
-    bad = set(target) - {"0", "1"}
-    if bad:
-        raise ValueError(f"non-bit character {sorted(bad)[0]!r} in bit-string")
-    return target.translate(_FLATTEN)
+    """Encode a bit-string pairwise: 0 -> 10, 1 -> 01.
+
+    A character other than '0'/'1' raises ValueError naming the first one
+    in input order and its position.
+    """
+    rails, bad = rail_block(target)
+    if bad >= 0:
+        raise non_bit(target[bad], bad)
+    return rails
 
 
 def unflatten_bits(flat: str) -> str:
@@ -143,12 +165,12 @@ def rail_gates(gate: Gate, operands) -> tuple[tuple[str, str], tuple[tuple, ...]
     return (z, o), ((z, CONST, (), 1 - value), (o, CONST, (), value))
 
 
-def rail_map(b: Circuit) -> dict[str, RailPair]:
-    """Rail names carried by each source wire after the transform."""
+def rail_map(b: Circuit) -> dict[str, tuple[str, str]]:
+    """The (zero, one) rail names carried by each source wire after the transform."""
     rails: dict[str, tuple[str, str]] = {}
     for gate in b.gates:
         rails[gate.name] = rail_gates(gate, [rails[a] for a in gate.args])[0]
-    return {w: RailPair(z, o) for w, (z, o) in rails.items()}
+    return rails
 
 
 def dual_rail_transform(b: Circuit) -> Circuit:
@@ -208,8 +230,7 @@ def validate_rail_complement(b: Circuit, m: Circuit) -> CounterexampleReport | N
         raise ValueError("rail validation sweeps all assignments; max 12 inputs")
     full = full_mask(n)
     vals = evaluate_masks(m, rail_masks(input_masks(n), full), full)
-    for pair in rail_map(b).values():
-        z, o = pair.zero_rail, pair.one_rail
+    for z, o in rail_map(b).values():
         mismatch = vals[z] ^ (full ^ vals[o])
         if mismatch:
             i = lowest_set_bit(mismatch)

@@ -1,22 +1,27 @@
 """Single-pass streaming bit flattener with working-memory accounting.
 
-The transducer reads the input once, front to back, and emits the two-bit
-encoding of each bit (0 -> 10, 1 -> 01) before the next read.  Its working
-state is a position counter plus a fixed finite control, so the instrumented
-peak is exactly ceil(log2(bits_read + 1)) + CONTROL_STATE_BITS, i.e. the
-memory footprint is logarithmic in the input length.
+The transducer reads its source once, front to back, a block of bits at a
+time, and writes the two-bit encoding of each block (0 -> 10, 1 -> 01)
+before it reads the next.  What it remembers between reads is a count of
+the bits read plus a fixed finite control, so the instrumented peak is
+exactly ceil(log2(bits_read + 1)) + CONTROL_STATE_BITS: logarithmic in the
+input length.  The count leaves out the block the caller hands over and the
+encoded block on its way to the sink; both pass through, and their size is
+the caller's choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dualrail import non_bit, rail_block
+
 # Width of the fixed control component of the streaming loop (phase plus
-# halt flag); everything else the transducer remembers is the position
-# counter, whose width is what grows with the input.
+# halt flag); everything else the transducer remembers is the read counter,
+# whose width is what grows with the input.
 CONTROL_STATE_BITS = 2
 
-_ENCODE = {"0": "10", "1": "01", 0: "10", 1: "01"}
+_INT_RAILS = {0: "10", 1: "01"}
 
 
 @dataclass(frozen=True)
@@ -29,25 +34,36 @@ class TransducerStats:
 def stream_flatten(source, sink) -> TransducerStats:
     """Flatten a bit stream into ``sink`` in one forward pass.
 
-    ``source`` yields bits as '0'/'1' characters (ints 0/1 also accepted);
-    each is looked up in one encoding table, and anything else raises
-    ``ValueError``.  ``sink`` is file-like (a ``write`` method taking str).
-    Both encoded output bits of a read are written before the next read
-    happens.  The peak grows by one bit each time the read count reaches a
-    power of two, so it equals ``reads.bit_length() + CONTROL_STATE_BITS``.
+    Each item of ``source`` is either a ``str`` block of zero or more
+    '0'/'1' characters or a single int bit 0/1.  A ``str`` source is
+    already whole in memory, so it is one block, not one per character.  A
+    block is checked and encoded by ``dualrail.rail_block``, the encoder
+    ``flatten_bits`` uses, and goes to ``sink`` (anything with a ``write``
+    method taking str) in one write, before the next item is read.  A
+    symbol that is not a bit raises ValueError naming it and its position
+    in the stream, after the encoding of the bits before it in its block
+    has been written.
+
+    ``peak_state_bits`` counts the read counter and the control only:
+    ``reads.bit_length() + CONTROL_STATE_BITS``.  The counter only grows,
+    so its width at the end is its widest.
     """
+    if isinstance(source, str):
+        source = (source,)
     write = sink.write
     reads = 0
-    widens_at = 1  # the read count at which the counter needs one more bit
-    peak = CONTROL_STATE_BITS
-    for bit in source:
+    for item in source:
+        if isinstance(item, str):
+            rails, bad = rail_block(item)
+            write(rails)
+            if bad >= 0:
+                raise non_bit(item[bad], reads + bad)
+            reads += len(item)
+            continue
         try:
-            pair = _ENCODE[bit]
+            rails = _INT_RAILS[item]
         except (KeyError, TypeError):  # TypeError: an unhashable symbol
-            raise ValueError(f"non-bit symbol {bit!r} in source") from None
-        write(pair)
+            raise non_bit(item, reads) from None
+        write(rails)
         reads += 1
-        if reads == widens_at:
-            peak += 1
-            widens_at <<= 1
-    return TransducerStats(reads, 2 * reads, peak)
+    return TransducerStats(reads, 2 * reads, reads.bit_length() + CONTROL_STATE_BITS)

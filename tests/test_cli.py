@@ -21,6 +21,13 @@ def test_flatten_bits_subcommand(capsys):
     assert capsys.readouterr().out == "10010110\n"
 
 
+def test_flatten_bits_subcommand_names_the_first_non_bit(capsys):
+    assert main(["flatten", "--bits", "0x2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-bit symbol 'x' at position 1\n"
+
+
 def test_flatten_circuit_subcommand(capsys):
     assert main(["flatten", EQ_NOT]) == 0
     flat = parse_netlist(capsys.readouterr().out)
@@ -160,6 +167,16 @@ def test_stream_flatten_across_chunk_edges(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == flatten_bits(bits)
     assert captured.err == "read=20000 written=40000 peak_state_bits=17\n"
+
+
+def test_stream_flatten_junk_after_the_first_read(monkeypatch, capsys):
+    # the first 8192-character read is all bits; the second holds junk
+    first = "".join(random.Random(2).choice("01") for _ in range(8192))
+    monkeypatch.setattr("sys.stdin", io.StringIO(first + "1\n0x1"))
+    assert main(["stream-flatten"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == flatten_bits(first) + "0110"
+    assert captured.err == "error: non-bit symbol 'x' at position 8194\n"
 
 
 _FLATTEN_FAULTS = [

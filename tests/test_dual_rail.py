@@ -36,6 +36,13 @@ def test_flatten_bits_rejects_non_bits():
         flatten_bits("01x")
 
 
+def test_flatten_bits_names_the_first_non_bit_in_input_order():
+    with pytest.raises(ValueError, match=r"^non-bit symbol 'x' at position 1$"):
+        flatten_bits("0x2")
+    with pytest.raises(ValueError, match=r"^non-bit symbol 'é' at position 2$"):
+        flatten_bits("01é")
+
+
 def test_unflatten_inverts_flatten():
     rng = random.Random(9)
     for _ in range(100):
@@ -76,11 +83,11 @@ def test_eq_classifier_rejects_bad_arity():
 def test_rail_map_swaps_rails_for_not():
     c = parse_netlist("input x\nnot n x\noutput n\n")
     m = rail_map(c)
-    assert m["x"].zero_rail == "x" + RAIL_SEPARATOR + "0"
-    assert m["x"].one_rail == "x" + RAIL_SEPARATOR + "1"
+    assert m["x"][0] == "x" + RAIL_SEPARATOR + "0"
+    assert m["x"][1] == "x" + RAIL_SEPARATOR + "1"
     # negation costs nothing: the pair is the source pair flipped
-    assert m["n"].zero_rail == m["x"].one_rail
-    assert m["n"].one_rail == m["x"].zero_rail
+    assert m["n"][0] == m["x"][1]
+    assert m["n"][1] == m["x"][0]
 
 
 def test_rail_map_rejects_reserved_separator():
@@ -226,6 +233,6 @@ def test_rail_map_names_wires_of_the_rewrite():
         rails = rail_map(b)
         for g in b.gates:
             if g.op != NOT:
-                assert rails[g.name].zero_rail in m
-                assert rails[g.name].one_rail in m
-        assert m.outputs == tuple(rails[o].one_rail for o in b.outputs)
+                assert rails[g.name][0] in m
+                assert rails[g.name][1] in m
+        assert m.outputs == tuple(rails[o][1] for o in b.outputs)

@@ -48,6 +48,12 @@ def test_output_matches_block_flattening():
         assert result.output_bits_written == 2 * len(bits)
 
 
+def test_str_source_is_one_block():
+    sink = RecordingSink()
+    assert stream_flatten("0110", sink) == TransducerStats(4, 8, 5)
+    assert sink.chunks == ["10010110"]
+
+
 def test_accepts_int_bits():
     sink = RecordingSink()
     stream_flatten([0, 1, 1, 0], sink)
@@ -136,3 +142,55 @@ def test_sink_errors_are_not_reported_as_non_bits():
 
     with pytest.raises(TypeError, match="sink refuses"):
         stream_flatten("01", BrokenSink())
+
+
+def _rails(bits):
+    return "".join({"0": "10", "1": "01"}[b] for b in bits)
+
+
+def test_random_block_splits_match_flatten_bits():
+    rng = random.Random(9)
+    for _ in range(200):
+        bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
+        cuts = sorted(rng.randint(0, len(bits)) for _ in range(rng.randint(0, 8)))
+        blocks = [bits[i:j] for i, j in zip([0] + cuts, cuts + [len(bits)])]
+        sink = RecordingSink()
+        result = stream_flatten(iter(blocks), sink)
+        assert sink.text == flatten_bits(bits) == _rails(bits)
+        assert result == TransducerStats(
+            len(bits), 2 * len(bits), len(bits).bit_length() + CONTROL_STATE_BITS)
+
+
+def test_bad_symbol_mid_block_leaves_the_prefix_encoding():
+    sink = RecordingSink()
+    with pytest.raises(ValueError, match=r"^non-bit symbol 'x' at position 5$"):
+        stream_flatten(iter(["011", "01x10", "1"]), sink)
+    assert sink.text == _rails("01101")
+
+
+def test_non_ascii_symbol_is_a_non_bit():
+    sink = RecordingSink()
+    with pytest.raises(ValueError, match=r"^non-bit symbol 'é' at position 1$"):
+        stream_flatten(iter(["0é1"]), sink)
+    assert sink.text == "10"
+
+
+def test_block_encoding_written_before_next_block_read():
+    sink = RecordingSink()
+    written_at_read = []
+
+    def src():
+        for block in ("011", "", "1", "0000"):
+            written_at_read.append(len(sink.text))
+            yield block
+
+    stream_flatten(src(), sink)
+    assert written_at_read == [0, 6, 6, 8]
+    assert sink.chunks == ["100101", "", "01", "10101010"]
+
+
+def test_empty_block_reads_nothing():
+    sink = RecordingSink()
+    assert stream_flatten([""], sink) == TransducerStats(0, 0, CONTROL_STATE_BITS)
+    assert sink.text == ""
+    assert stream_flatten(["", 1, ""], sink) == TransducerStats(1, 2, 3)
