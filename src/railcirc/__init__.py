@@ -15,7 +15,7 @@ from .dualrail import (RAIL_SEPARATOR, build_eq_classifier, dual_rail_transform,
                        validate_rail_complement)
 from .reports import (EQUIVALENCE, MONOTONICITY, ONE_HOT, RAIL,
                       CounterexampleReport)
-from .tableau import (DEFAULT_GATE_CAP, CellAlphabet, GateCapError, compile_tm,
+from .tableau import (DEFAULT_GATE_CAP, GateCapError, cell_alphabet, compile_tm,
                       compile_tm_flattened, config_cells, tableau_trace)
 from .tm import (ACCEPT, BLANK, REJECT, TIMEOUT, Configuration, TMError,
                  TuringMachine, initial_configuration, parse_tm, run, step)

@@ -104,7 +104,7 @@ def check_gate(name, op, args, value, index) -> tuple:
         raise NetlistError(
             f"{op} gate {name!r} takes {arity} operand(s), got {len(args)}")
     if op == CONST:
-        if value not in (0, 1):
+        if type(value) is not int or value not in (0, 1):
             raise NetlistError(f"const gate {name!r} must carry 0 or 1")
     elif value is not None:
         raise NetlistError(f"{op} gate {name!r} must not carry a value")

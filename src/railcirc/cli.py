@@ -12,8 +12,7 @@ import argparse
 import functools
 import sys
 
-from .circuit import (NetlistError, emit_dot, emit_netlist, is_structurally_monotone,
-                      parse_netlist, stats)
+from .circuit import NetlistError, emit_dot, emit_netlist, parse_netlist, stats
 from .dualrail import dual_rail_netlist, flatten_bits
 from .tableau import DEFAULT_GATE_CAP, compile_tm, compile_tm_flattened
 from .tm import TMError, parse_tm

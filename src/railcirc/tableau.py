@@ -41,14 +41,13 @@ operands first, which gives the least depth for their arrival times
 about six levels.
 
 Wire naming contract: the one-hot wire for symbol index k of cell (r, c) is
-``c_{r}_{c}_{k}``, with k indexing the cell alphabet.  These names are
+``c_{r}_{c}_{k}``, with k indexing ``cell_alphabet(tm)``.  These names are
 stable and safe to decode; all other internal names (the sym, nh, keep and
 arrive guards and the OR-tree nodes among them) are unspecified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from itertools import product
 from typing import Union
@@ -81,33 +80,10 @@ class GateCapError(ValueError):
     """Compilation would exceed the configured gate budget."""
 
 
-@dataclass(frozen=True)
-class CellAlphabet:
-    """Cell symbols in wire-index order: tape symbols, then head pairs.
-
-    Tape symbols keep their declaration order; (state, symbol) pairs are
-    ordered by state declaration, then symbol declaration.
-    """
-
-    entries: tuple[CellSymbol, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {entry: k for k, entry in enumerate(self.entries)})
-
-    @classmethod
-    def from_machine(cls, tm: TuringMachine) -> "CellAlphabet":
-        entries: list[CellSymbol] = list(tm.alphabet)
-        for q in tm.states:
-            for s in tm.alphabet:
-                entries.append((q, s))
-        return cls(tuple(entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def index_of(self, entry: CellSymbol) -> int:
-        return self._index[entry]
+def cell_alphabet(tm: TuringMachine) -> tuple[CellSymbol, ...]:
+    """Cell symbols in wire-index order: the tape symbols as declared, then
+    the (state, symbol) head pairs by state, then symbol declaration."""
+    return tm.alphabet + tuple(product(tm.states, tm.alphabet))
 
 
 def _check_dims(n: int, t: int) -> None:
@@ -134,20 +110,19 @@ def compile_tm_flattened(tm: TuringMachine, n: int, t: int,
 def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
            gate_cap: int) -> Circuit:
     _check_dims(n, t)
-    ab = CellAlphabet.from_machine(tm)
+    cells = cell_alphabet(tm)
+    index = {entry: k for k, entry in enumerate(cells)}
     cols = t + 1
-    na = len(ab)
+    na = len(cells)
     if (t + 1) * cols * na > gate_cap:
         raise GateCapError(
             f"grid alone needs {(t + 1) * cols * na} gates, cap is {gate_cap}")
 
     n_sym = len(tm.alphabet)  # tape symbols take cell indices 0..n_sym-1
-    pair_idx = {(q, s): ab.index_of((q, s)) for q in tm.states for s in tm.alphabet}
-    idx_of = ab.index_of
     halting = (tm.accept, tm.reject)
     state_no = {q: j for j, q in enumerate(tm.states)}
     # held[k]: the tape symbol a cell must hold for a guard to produce k
-    held = [idx_of(e if type(e) is str else e[1]) for e in ab.entries]
+    held = [index[e if type(e) is str else e[1]] for e in cells]
 
     # Next-content tables, precomputed per machine.  here[at_wall][k]: the
     # head pairs whose step leaves target k on the head's own cell, away from
@@ -158,7 +133,7 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
     # neighbor, the state that arrives on the cell, or None if it stays away)
     enter_from_left: list[tuple[int, str | None]] = []
     enter_from_right: list[tuple[int, str | None]] = []
-    for (q, s), p in pair_idx.items():
+    for p, (q, s) in enumerate(cells[n_sym:], n_sym):
         if q in halting:
             off_wall = at_wall = (q, s)
             q_right = q_left = None
@@ -168,8 +143,8 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
             at_wall = (q2, s2) if d == LEFT else s2
             q_right = q2 if d == RIGHT else None
             q_left = q2 if d == LEFT else None
-        here[False][idx_of(off_wall)].append(p)
-        here[True][idx_of(at_wall)].append(p)
+        here[False][index[off_wall]].append(p)
+        here[True][index[at_wall]].append(p)
         enter_from_left.append((p, q_right))
         enter_from_right.append((p, q_left))
 
@@ -198,7 +173,7 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
         guard_of: list[int | None] = [0] * n_sym + [None] * (na - n_sym)
         for q_in, srcs in arrive.items():
             for s in tm.alphabet:
-                guard_of[pair_idx[(q_in, s)]] = len(guards)
+                guard_of[index[(q_in, s)]] = len(guards)
             guards.append((f"arrive{state_no[q_in]}", srcs))
         targets = [(here[wall][k] if own else [], guard_of[k]) for k in range(na)]
         # keep ORs in the neighbor guard; a target with a guard is an AND
@@ -269,31 +244,21 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
             zero_rail.append(f"x{i}_not")
             one_rail.append(f"x{i}")
 
-    # Row 0: head merged into cell 0, input bits, then blanks.
+    # Row 0: the input bits, then blanks, with the head in the start state
+    # on cell 0, whose entries are (start, symbol).  The entries for 0 and 1
+    # buffer the rails of the cell's input bit; every other entry is a const,
+    # 1 only for the blank beyond the input.
     names = [[f"c_0_{c}_{k}" for k in range(na)] for c in range(cols)]
     row0 = len(gates)
     for c in range(cols):
-        for k, entry in enumerate(ab.entries):
-            name = names[c][k]
-            if c == 0 and n > 0:
-                if entry == (tm.start, "0"):
-                    gates.append(Gate(name, OR, (zero_rail[0], zero_rail[0])))
-                elif entry == (tm.start, "1"):
-                    gates.append(Gate(name, OR, (one_rail[0], one_rail[0])))
-                else:
-                    gates.append(Gate(name, CONST, value=0))
-            elif c == 0:
-                gates.append(Gate(name, CONST,
-                                  value=1 if entry == (tm.start, BLANK) else 0))
-            elif c < n:
-                if entry == "0":
-                    gates.append(Gate(name, OR, (zero_rail[c], zero_rail[c])))
-                elif entry == "1":
-                    gates.append(Gate(name, OR, (one_rail[c], one_rail[c])))
-                else:
-                    gates.append(Gate(name, CONST, value=0))
+        zero, one, blank = ((tm.start, s) if c == 0 else s
+                            for s in ("0", "1", BLANK))
+        rails = {zero: zero_rail[c], one: one_rail[c]} if c < n else {}
+        for name, entry in zip(names[c], cells):
+            if entry in rails:
+                gates.append(Gate(name, OR, (rails[entry], rails[entry])))
             else:
-                gates.append(Gate(name, CONST, value=1 if entry == BLANK else 0))
+                gates.append(Gate(name, CONST, value=int(c >= n and entry == blank)))
 
     # Rows 1..t.  After r steps the head is at column r or less, so cell
     # (r, c) with c > r still holds its row-0 symbol and is built as a copy
@@ -375,7 +340,7 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
             row_deps.append(row0_deps)
         names, deps = row_names, row_deps
 
-    accept = [pair_idx[(tm.accept, s)] for s in tm.alphabet]
+    accept = [index[(tm.accept, s)] for s in tm.alphabet]
     or_tree([(deps[c][k], names[c][k]) for c in range(cols) for k in accept],
             "accepted")
     return Circuit(tuple(gates), ("accepted",))
@@ -400,12 +365,12 @@ def tableau_trace(circuit: Circuit, tm: TuringMachine, x: str,
     construction itself is broken.
     """
     vals = wire_values(circuit, [int(ch) for ch in x])
-    ab = CellAlphabet.from_machine(tm)
+    cells = cell_alphabet(tm)
     grid: list[list[CellSymbol]] = []
     for r in range(t + 1):
         row: list[CellSymbol] = []
         for c in range(t + 1):
-            hot = [entry for k, entry in enumerate(ab.entries)
+            hot = [entry for k, entry in enumerate(cells)
                    if vals[f"c_{r}_{c}_{k}"]]
             if len(hot) != 1:
                 raise RuntimeError(

@@ -64,7 +64,7 @@ class Configuration:
 
 def parse_tm(text: str) -> TuringMachine:
     states = alphabet = None
-    start = accept = reject = None
+    roles: dict[str, str] = {}  # start, accept and reject state names
     delta: dict[tuple[str, str], tuple[str, str, str]] = {}
     delta_lines: list[tuple[int, str, str, str, str, str]] = []
 
@@ -92,15 +92,12 @@ def parse_tm(text: str) -> TuringMachine:
             if len(set(alphabet)) != len(alphabet):
                 raise TMError("repeated symbol", lineno)
         elif key in ("start", "accept", "reject"):
+            if key in roles:
+                raise TMError(f"{key} given twice", lineno)
             tokens = rest.split()
             if len(tokens) != 1:
                 raise TMError(f"{key} takes exactly one state", lineno)
-            if key == "start":
-                start = tokens[0]
-            elif key == "accept":
-                accept = tokens[0]
-            else:
-                reject = tokens[0]
+            roles[key] = tokens[0]
         elif key == "delta":
             lhs, arrow, rhs = rest.partition("->")
             if not arrow:
@@ -113,6 +110,7 @@ def parse_tm(text: str) -> TuringMachine:
         else:
             raise TMError(f"unknown directive {key!r}", lineno)
 
+    start, accept, reject = (roles.get(k) for k in ("start", "accept", "reject"))
     for name, value in (("states", states), ("alphabet", alphabet),
                         ("start", start), ("accept", accept), ("reject", reject)):
         if value is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .bitsim import (assignment_of_index, evaluate_masks, full_mask,
                      index_of_assignment, input_masks, lowest_set_bit, rail_masks)
 from .circuit import Circuit, stats
-from .reports import EQUIVALENCE, MONOTONICITY, ONE_HOT, RAIL, CounterexampleReport
+from .reports import EQUIVALENCE, MONOTONICITY, CounterexampleReport
 
 RAW = "RAW"
 FLATTENED = "FLATTENED"

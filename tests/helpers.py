@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from railcirc import (AND, CONST, INPUT, NOT, ONE_HOT, OR, CellAlphabet, Circuit,
-                      CounterexampleReport, Gate)
+from railcirc import (AND, CONST, INPUT, NOT, ONE_HOT, OR, Circuit,
+                      CounterexampleReport, Gate, cell_alphabet)
 from railcirc.bitsim import (assignment_of_index, evaluate_masks, full_mask,
                              input_masks, lowest_set_bit)
 
@@ -86,12 +86,12 @@ def one_hot_report(circuit, tm, t, masks=None, full=None):
         masks = input_masks(n)
         full = full_mask(n)
     vals = evaluate_masks(circuit, masks, full)
-    ab = CellAlphabet.from_machine(tm)
+    na = len(cell_alphabet(tm))
     width = full.bit_length().bit_length() - 1  # domain has 2**width assignments
     for r in range(t + 1):
         for c in range(t + 1):
             seen = doubled = 0
-            for k in range(len(ab)):
+            for k in range(na):
                 w = vals[f"c_{r}_{c}_{k}"]
                 doubled |= seen & w
                 seen |= w
@@ -99,7 +99,7 @@ def one_hot_report(circuit, tm, t, masks=None, full=None):
             if bad:
                 i = lowest_set_bit(bad)
                 hot = sum((vals[f"c_{r}_{c}_{k}"] >> i) & 1
-                          for k in range(len(ab)))
+                          for k in range(na))
                 return CounterexampleReport(
                     kind=ONE_HOT,
                     witness=(assignment_of_index(i, width),),

@@ -112,6 +112,10 @@ def test_parse_errors_name_their_line(body, line, match):
      "operands of gate 'g' must be a tuple or a list, got 'ab'"),
     ((Gate("x", INPUT), Gate("g", NOT, 5)), 1,
      "operands of gate 'g' must be a tuple or a list, got 5"),
+    # an int 0 or 1 only: True and 1.0 compare equal to 1 but emit as
+    # 'const k True' and 'const k 1.0', which parse_netlist rejects
+    ((Gate("x", INPUT), Gate("k", CONST, value=True)), 1, "must carry 0 or 1"),
+    ((Gate("x", INPUT), Gate("k", CONST, value=1.0)), 1, "must carry 0 or 1"),
 ])
 def test_circuit_rejects_bad_gates(gates, pos, match):
     gates, outputs = gates if pos is None else (gates, ())

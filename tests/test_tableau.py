@@ -1,13 +1,14 @@
 """Machine-to-circuit compilation: grid layout, agreement, invariants, size."""
 
+import hashlib
 import random
 import tracemalloc
 
 import pytest
 
-from railcirc import (ACCEPT, BLANK, CONST, FLATTENED, NOT, OR, CellAlphabet,
-                      GateCapError, TIMEOUT, compile_tm, compile_tm_flattened,
-                      config_cells, evaluate, exhaustive_equiv,
+from railcirc import (ACCEPT, BLANK, CONST, FLATTENED, NOT, OR, GateCapError,
+                      TIMEOUT, cell_alphabet, compile_tm, compile_tm_flattened,
+                      config_cells, emit_netlist, evaluate, exhaustive_equiv,
                       initial_configuration, parse_tm, run, stats, step,
                       tableau_trace, wire_values)
 from railcirc.bitsim import evaluate_masks, full_mask, input_masks
@@ -29,19 +30,19 @@ def _words(n):
 
 def test_cell_alphabet_order():
     tm = parse_tm(fixture_text("contains_one.tm"))
-    ab = CellAlphabet.from_machine(tm)
-    assert ab.entries[:3] == ("0", "1", BLANK)
-    assert ab.entries[3:6] == (("q0", "0"), ("q0", "1"), ("q0", BLANK))
-    assert len(ab) == 3 + 3 * 3
-    assert ab.index_of(("qa", "1")) == 3 + 3 + 1
+    cells = cell_alphabet(tm)
+    assert cells[:3] == ("0", "1", BLANK)
+    assert cells[3:6] == (("q0", "0"), ("q0", "1"), ("q0", BLANK))
+    assert len(cells) == 3 + 3 * 3
+    assert cells.index(("qa", "1")) == 3 + 3 + 1
 
 
 def test_wire_naming_contract():
     # c_{row}_{col}_{k}, k indexing the cell alphabet, over a (t+1)^2 grid
     tm = parse_tm(fixture_text("contains_one.tm"))
-    ab = CellAlphabet.from_machine(tm)
+    cells = cell_alphabet(tm)
     c = compile_tm(tm, 2, 4)
-    assert ab.index_of(("q0", "0")) == 3 and ab.index_of("1") == 1
+    assert cells.index(("q0", "0")) == 3 and cells.index("1") == 1
     assert "c_0_0_3" in c and "c_4_2_1" in c
     # the head starts on cell 0 in state q0, reading the first input bit
     assert wire_values(c, [0, 1])["c_0_0_3"] == 1
@@ -182,7 +183,7 @@ def test_invariants_on_generated_machines():
         t = rng.randint(max(1, n - 1), 7)
         raw = compile_tm(tm, n, t)
         where = (tm.delta, n, t)
-        na = len(CellAlphabet.from_machine(tm))
+        na = len(cell_alphabet(tm))
         assert len(raw.gates) <= SIZE_COEFF * (t + 1) * (t + 1) * na, where
         # every row of the grid, on every input, is the simulator's
         # configuration after that many steps (frozen once it halts)
@@ -280,7 +281,7 @@ def test_gate_cap_rejects_before_building():
 
 def test_size_bound_and_growth():
     tm = parse_tm(fixture_text("contains_one.tm"))
-    na = len(CellAlphabet.from_machine(tm))
+    na = len(cell_alphabet(tm))
     totals = {}
     for t in (4, 8, 16, 32):
         s = stats(compile_tm(tm, 2, t))
@@ -312,3 +313,35 @@ def test_depth_per_row():
     tm = parse_tm(fixture_text("contains_one.tm"))
     depth = {t: stats(compile_tm(tm, 2, t)).depth for t in (32, 64)}
     assert depth[64] - depth[32] <= 32 * 6.25, depth
+
+
+# sha256 of emit_netlist(compile_tm(...)) and of compile_tm_flattened, per
+# (fixture, n, t)
+NETLIST_DIGESTS = {
+    ("contains_one.tm", 6, 24): (
+        "a9dea57e48856679d3922e08f997f1c1511bfa5132f35289643a524fa352b67c",
+        "c8deb6bae9f77e87721555b1fee2aa9c318c620cd6ce45ddb932fe438737bea0"),
+    ("contains_one.tm", 2, 8): (
+        "0fbbee98d4d9c06993aa5ebf690ffeaa1e5c6d3d8b870de68ff134d2037a9b2f",
+        "1672583c809145eb0a8804209a9d6b2e657e928732064eaf0aa2fdb1357a76eb"),
+    ("parity.tm", 6, 24): (
+        "88015fe994541ea114ae6a1a9f45fe0e66300104cef7073db40b44668e4f72e8",
+        "ab13de9b18c6dd961336a7b49378aa7503d9776c0de2d3d1532ff5128ac98722"),
+    ("parity.tm", 2, 8): (
+        "7b89644c2ae0f78d16e9009673ec5a993861458f4ca64ea797582d5c5ac4866f",
+        "7ee0ee412c79735bb7d0feb2d5acd975669e3d568d60621acbc2fd200c95ad69"),
+}
+
+
+def test_netlists_match_recorded_digests():
+    """The compiler's output, raw and flattened, is pinned byte for byte.
+
+    A refactor of the tableau must leave wire names, gate order and gate
+    count as they are.  A change that alters the construction on purpose
+    records new digests here and says why in CHANGES.md.
+    """
+    for (name, n, t), digests in NETLIST_DIGESTS.items():
+        tm = parse_tm(fixture_text(name))
+        got = tuple(hashlib.sha256(emit_netlist(compile_(tm, n, t)).encode())
+                    .hexdigest() for compile_ in (compile_tm, compile_tm_flattened))
+        assert got == digests, (name, n, t)

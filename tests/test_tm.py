@@ -52,6 +52,17 @@ def test_parse_errors():
         parse_tm(base.replace("-> qr", "qr"))
 
 
+@pytest.mark.parametrize("line", ["start: qa", "accept: qr", "reject: qa",
+                                  "states: qe qo qa qr", "alphabet: 0 1 _"])
+def test_parse_rejects_a_repeated_directive(line):
+    # a second start, accept or reject line must not replace the first
+    base = fixture_text("parity.tm")
+    key = line.split(":")[0]
+    with pytest.raises(TMError, match=f"^line {base.count(chr(10)) + 1}: "
+                                      f"{key} given twice$"):
+        parse_tm(base + line + "\n")
+
+
 def test_initial_configuration():
     tm = parse_tm(fixture_text("contains_one.tm"))
     conf = initial_configuration(tm, "01")
