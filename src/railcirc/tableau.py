@@ -27,18 +27,32 @@ flattened circuit's domain.
 
 Each cell of the cone, c <= r, is built from two kinds of indicator over
 its window in the previous row.  ``keep`` is 1 when the cell keeps its
-symbol: no head nearby, or a head on a neighbor that does not move onto the
-cell.  ``arrive_q``, one per state q, is 1 when a neighbor's head moves onto
-the cell in state q.  Plain symbol g is then ``keep AND holds g``, and head
+symbol: no head nearby (``nh_``, the AND of the neighbors' ``sym_``
+indicators), or a head on a neighbor that does not move onto the cell.
+``arrive_q``, one per state q, is 1 when a neighbor's head moves onto the
+cell in state q.  Plain symbol g is then ``keep AND holds g``, and head
 pair (q, g) is ``arrive_q AND holds g``, each ORed with the head-on-cell
-cases whose step writes it.  Only what the cone reads is built: the
-no-head-nearby guards (``sym_`` per previous-row column up to r + 1,
-``nh_`` per column up to r), and the head pairs of previous-row cells up to
-column r - 1; the others are const 0 on every assignment.  Every
-multi-input OR, the accept output included, merges its two shallowest
-operands first, which gives the least depth for their arrival times
-(Golumbic 1976); depths are kept for the previous row only.  A row adds
-about six levels.
+cases whose step writes it.  Every multi-input OR, the accept output
+included, merges its two shallowest operands first, which gives the least
+depth for their arrival times (Golumbic 1976); depths are kept for the
+previous row only.
+
+Much of the grid does not depend on the input: row 0 past the input, and
+every wire that would need the head where it is on no input.  Before any
+gate is built, a tag pass gives each grid wire a tag, const 0, const 1 or
+input-dependent, one row at a time from the tags of each cell's window, by
+one rule: an OR drops const-0 operands and is const 1 on a const-1 operand,
+and an AND is const 0 on a const-0 operand and its other operand on a
+const-1 one.  A window's tags fix how its cell folds, so that is worked out
+once per distinct window, and the pass counts the gates exactly, so the
+gate cap is checked first.  The build then follows the tags.  A ``c_r_c_k``
+wire that folds to a constant is a const gate; one that folds to a single
+other wire is an OR buffer of it, and its readers read that wire itself,
+so a row that only carries wires forward adds no level.  An internal wire
+that folds, or that no built gate reads, is not built, and no AND or OR
+reads a const.  The depth then grows with the rows in which the head's
+moves depend on the input: parity at n=6 has depth 16 at both t=24 and
+t=64.
 
 Wire naming contract: the one-hot wire for symbol index k of cell (r, c) is
 ``c_{r}_{c}_{k}``, with k indexing ``cell_alphabet(tm)``.  These names are
@@ -50,7 +64,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heapreplace
 from itertools import product
-from typing import Union
+from typing import NamedTuple, Union
 
 from .bitsim import wire_values
 from .circuit import AND, CONST, INPUT, NOT, OR, Circuit, Gate
@@ -68,11 +82,12 @@ DEFAULT_GATE_CAP = 10_000_000
 #   S + S*A     guarded ANDs
 #   2P - S*A    one-hot ORs over the P head-on-cell wires, plus a const or
 #               buffer per unguarded head-pair target
-# = 2S + 4P - A <= 4 * len(alphabet) - 2S.  Row 0 and the copies outside
-# the light cone take len(alphabet) gates per cell; the inputs and the
-# accept OR fit in the rest of row 0's share.  Measured peak over the
-# fixtures and 330 generated machines with up to 8 working states: 2.12
-# (parity, n=6, t=24).
+# = 2S + 4P - A <= 4 * len(alphabet) - 2S, and folding only removes gates.
+# Row 0 and the copies outside the light cone take len(alphabet) gates per
+# cell; the inputs and the accept OR fit in the rest of row 0's share.
+# Measured peak over the fixtures and 330 generated machines with up to 8
+# working states: 1.47 (2.17 unfolded); over the fixtures alone 1.25
+# (contains_one, n=8, t=7).
 SIZE_COEFF = 4
 
 
@@ -105,6 +120,46 @@ def compile_tm_flattened(tm: TuringMachine, n: int, t: int,
                          gate_cap: int = DEFAULT_GATE_CAP) -> Circuit:
     """NOT-free variant over 2n rail inputs x0__0, x0__1, x1__0, ..."""
     return _build(tm, n, t, flattened=True, gate_cap=gate_cap)
+
+
+# The tag of a grid wire is 0 or 1 for a const, else _X: its value depends
+# on the input.  Inside a cell a folded value is _ZERO, _ONE or a window
+# slot >= 0.
+_X = 2
+_ZERO, _ONE = -1, -2
+
+
+def _or_leaves(vals: list[int]) -> list[int] | None:
+    """The leaves an OR of folded values keeps: None when one of them is
+    const 1, which makes the OR const 1, else those that are not const 0
+    (none left: const 0; one left: that value itself)."""
+    if _ONE in vals:
+        return None
+    return [v for v in vals if v != _ZERO]
+
+
+def _and_value(a: int, b: int) -> int | None:
+    """An AND of two folded values: const 0 on a const-0 operand, else the
+    other operand on a const-1 one; None when both are wires."""
+    if a >= 0 and b >= 0:
+        return None
+    return _ZERO if _ZERO in (a, b) else b if a == _ONE else a
+
+
+class _Cell(NamedTuple):
+    """How a cell of rows 1..t folds, given the tags of its window.
+
+    tags: the tags of its wires.  cost: its gates, the shared sym_ trees
+    aside.  sym: whether it reads its left and its right neighbor's sym_
+    tree.  ops: (slot, label, op, operand slots) per gate or OR tree it
+    builds, in order.  Label k names wire c_r_c_k, a prefix names
+    prefix_{r-1}_c, and None an OR-tree node; a const's operand is its value.
+    """
+
+    tags: bytes
+    cost: int
+    sym: tuple[bool, bool]
+    ops: tuple[tuple, ...]
 
 
 def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
@@ -148,71 +203,178 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
         enter_from_left.append((p, q_right))
         enter_from_right.append((p, q_left))
 
-    def plan(wall: bool, right: bool, own: bool):
-        """Guards, targets and gate count of a cell of rows 1..t.
+    # A cell of rows 1..t reads a window of three previous-row cells: slots
+    # 0..na-1 hold its left neighbor's wires, na..2na-1 its own, 2na..3na-1
+    # its right neighbor's.  Past them come the neighbors' sym_ trees, the
+    # nh_ guard, one slot per guard, one per wire of the cell and one for
+    # the guarded AND of the wire being built.  keep ORs nh_ with the
+    # neighbors' head pairs that stay away; arrive_q ORs those that come in
+    # in state q.
+    own, right = na, 2 * na
+    sym_l, sym_r, nh = 3 * na, 3 * na + 1, 3 * na + 2
+    g0 = nh + 1
+    keep = [nh]
+    arrive: dict[str, list[int]] = {}
+    for base, enters in ((0, enter_from_left), (right, enter_from_right)):
+        for p, q_in in enters:
+            if q_in is None:
+                keep.append(base + p)
+            else:
+                arrive.setdefault(q_in, []).append(base + p)
+    guards = [("keep", keep)]
+    # guard_of[k]: the guard ANDed with the held symbol to produce k
+    guard_of: list[int | None] = [0] * n_sym + [None] * (na - n_sym)
+    for q_in, srcs in arrive.items():
+        for s in tm.alphabet:
+            guard_of[index[(q_in, s)]] = len(guards)
+        guards.append((f"arrive{state_no[q_in]}", srcs))
+    t0 = g0 + len(guards)
+    tmp = t0 + na
 
-        The cell reads the head pairs of its left neighbor unless it is the
-        wall cell, and those of its right neighbor and of itself only where
-        they lie inside the previous row's cone; outside it they are const 0.
-        guards: (name prefix, [(column offset, head pair)]), keep first, then
-        one arrive guard per arriving state.  targets[k]: (the head pairs
-        on the cell whose step writes k, index of the guard ANDed with the
-        held symbol, or None).
-        """
-        keep: list[tuple[int, int]] = []
-        arrive: dict[str, list[tuple[int, int]]] = {}
-        for dc, live, enters in ((-1, not wall, enter_from_left),
-                                 (1, right, enter_from_right)):
-            if live:
-                for p, q_in in enters:
-                    if q_in is None:
-                        keep.append((dc, p))
-                    else:
-                        arrive.setdefault(q_in, []).append((dc, p))
-        guards = [("keep", keep)]
-        guard_of: list[int | None] = [0] * n_sym + [None] * (na - n_sym)
-        for q_in, srcs in arrive.items():
-            for s in tm.alphabet:
-                guard_of[index[(q_in, s)]] = len(guards)
-            guards.append((f"arrive{state_no[q_in]}", srcs))
-        targets = [(here[wall][k] if own else [], guard_of[k]) for k in range(na)]
-        # keep ORs in the neighbor guard; a target with a guard is an AND
-        # plus one OR per head pair, one without is an OR tree, a buffer or
-        # a const
-        size = (len(keep) + sum(len(srcs) - 1 for _, srcs in guards[1:])
-                + sum(1 + len(ps) if j is not None else max(len(ps) - 1, 1)
-                      for ps, j in targets))
-        return guards, targets, size
+    def fold(wall: bool, win: bytes) -> _Cell:
+        """Fold the cell by the rule of _or_leaves and _and_value.  What
+        folds to a single wire is that wire; an internal wire that no built
+        gate reads is not built."""
+        val = [(_ZERO, _ONE, slot)[tag] for slot, tag in enumerate(win)]
+        val += [_ZERO] * (3 + len(guards))
+        trees: dict[int, list[int]] = {}
 
-    # Cell (r, c) of rows 1..t is built when c <= r, and is then of kind
-    # (c == 0, c < r - 1, c < r): the wall cell, an interior cell, or one of
-    # the two cone-boundary cells c = r - 1 and c = r.
-    plans = {kind: plan(*kind) for kind in product((False, True), repeat=3)}
-    size = {kind: p[2] for kind, p in plans.items()}
+        def or_fold(slot: int, srcs) -> None:
+            leaves = _or_leaves([val[s] for s in srcs])
+            if leaves is None:
+                val[slot] = _ONE
+            elif len(leaves) > 1:
+                val[slot] = slot
+                trees[slot] = leaves
+            else:
+                val[slot] = leaves[0] if leaves else _ZERO
 
-    # Exact gate count, known before anything is built: the input layer,
-    # row 0, then per row the sym_ indicators of previous-row columns
-    # <= r + 1, the nh_ guards of columns 1 <= c <= min(r, t - 1), the cone
-    # cells by kind and a const or buffer per wire of the cone copies; last
-    # the accept tree over cols * S wires.
-    total = 2 * n + cols * na + cols * n_sym - 1
+        or_fold(sym_l, range(n_sym))
+        or_fold(sym_r, range(right, right + n_sym))
+        a, b = val[sym_l], val[sym_r]
+        v = _and_value(a, b)
+        val[nh] = nh if v is None else v
+        for j, (_, srcs) in enumerate(guards):
+            or_fold(g0 + j, srcs)
+
+        tags = bytearray(na)
+        ops = []
+        for k in range(na):
+            leaves = [val[own + p] for p in here[wall][k]]
+            pair = None
+            if guard_of[k] is not None:
+                g, h = val[g0 + guard_of[k]], val[own + held[k]]
+                v = _and_value(g, h)
+                if v is None:
+                    pair = (g, h)
+                else:
+                    leaves.append(v)
+            leaves = _or_leaves(leaves)
+            if leaves is None or not leaves and pair is None:
+                tags[k] = int(leaves is None)
+                ops.append((None, k, CONST, tags[k]))
+                continue
+            tags[k] = _X
+            if not leaves:
+                ops.append((t0 + k, k, AND, pair))
+                continue
+            if pair is not None:
+                ops.append((tmp, None, AND, pair))
+                leaves.append(tmp)
+            ops.append((t0 + k, k, OR, leaves))
+        used = {s for _, _, op, args in ops if op != CONST for s in args}
+        built = [(g0 + j, prefix, OR, trees[g0 + j])
+                 for j, (prefix, _) in enumerate(guards) if g0 + j in used]
+        for *_, leaves in built:
+            used.update(leaves)
+        if nh in used:
+            built.insert(0, (nh, "nh", AND, (a, b)))
+            used.update((a, b))
+        ops = built + ops
+        # an OR of one leaf is a buffer
+        cost = sum(max(len(args) - 1, 1) if op == OR else 1
+                   for _, _, op, args in ops)
+        return _Cell(bytes(tags), cost, (sym_l in used, sym_r in used),
+                     tuple(ops))
+
+    # Beyond either end of the grid: a plain symbol and no head, so the grid
+    # edges count as symbols and send no head in.
+    edge = bytes([1] + [0] * (na - 1))
+    shapes: dict[tuple[bool, bytes], _Cell] = {}
+
+    def shape(prev: bytes, c: int) -> _Cell:
+        if c == 0:
+            win = edge + prev[:2 * na]
+        elif c == t:
+            win = prev[(c - 1) * na:] + edge
+        else:
+            win = prev[(c - 1) * na:(c + 2) * na]
+        cell = shapes.get((c == 0, win))
+        if cell is None:
+            cell = shapes[(c == 0, win)] = fold(c == 0, win)
+        return cell
+
+    # Input layer.  Standard mode spends the circuit's only NOT gates on the
+    # complements of the inputs; flattened mode takes them as inputs instead.
+    if flattened:
+        zero_rail = [f"x{i}__0" for i in range(n)]
+        one_rail = [f"x{i}__1" for i in range(n)]
+        inputs = [Gate(x, INPUT) for pair in zip(zero_rail, one_rail) for x in pair]
+    else:
+        zero_rail = [f"x{i}_not" for i in range(n)]
+        one_rail = [f"x{i}" for i in range(n)]
+        inputs = ([Gate(x, INPUT) for x in one_rail]
+                  + [Gate(x_not, NOT, (x,)) for x_not, x in zip(zero_rail, one_rail)])
+
+    # Row 0: the input bits, then blanks, with the head in the start state
+    # on cell 0, whose entries are (start, symbol).  The entries for 0 and 1
+    # buffer the rails of the cell's input bit (row0 holds the rail name);
+    # every other entry is a const, 1 only for the blank beyond the input.
+    row0: list[str | int] = []
+    for c in range(cols):
+        zero, one, blank = ((tm.start, s) if c == 0 else s
+                            for s in ("0", "1", BLANK))
+        rails = {zero: zero_rail[c], one: one_rail[c]} if c < n else {}
+        row0 += [rails.get(e, int(c >= n and e == blank)) for e in cells]
+
+    # Tag pass: the tags of every row, and the exact gate count, before any
+    # gate is built.  After r steps the head is at column r or less, so a
+    # cell (r, c) with c > r, outside the light cone, is a copy of row 0;
+    # the cells of the cone fold by their windows.  The count: one gate per
+    # input, input NOT, row-0 wire and copy, each cone cell's fold, the sym_
+    # trees the cells read, and the accept tree.
+    rows = [bytes(_X if type(v) is str else v for v in row0)]
+    cones = []  # per row 1..t: its cone's cells and the sym_ columns they read
+    total = 2 * n + cols * na
     for r in range(1, t + 1):
-        total += (min(r + 2, cols) * max(n_sym - 1, 1) + min(r, t - 1)
-                  + size[(True, r > 1, True)]
-                  + max(r - 2, 0) * size[(False, True, True)]
-                  + (r > 1) * size[(False, False, True)]
-                  + size[(False, False, False)]
-                  + (t - r) * na)
+        prev = rows[-1]
+        cone = [shape(prev, c) for c in range(r + 1)]
+        read = sorted({c + d for c, cell in enumerate(cone)
+                       for d, reads in zip((-1, 1), cell.sym) if reads})
+        total += (sum(cell.cost for cell in cone) + (t - r) * na
+                  + sum(prev[c * na:c * na + n_sym].count(_X) - 1 for c in read))
+        rows.append(b"".join([cell.tags for cell in cone]) + rows[0][(r + 1) * na:])
+        cones.append((cone, read))
+    last = rows[-1]
+    accept = _or_leaves([(_ZERO, _ONE, s)[last[s]] for s in
+                         (c * na + index[(tm.accept, s)] for c in range(cols)
+                          for s in tm.alphabet)])
+    total += max(len(accept or ()) - 1, 1)
     if total > gate_cap:
         raise GateCapError(f"{total} gates exceed the cap of {gate_cap}")
 
-    gates: list[Gate] = []
+    gates: list[Gate] = inputs
     aux = 0
 
-    def or_tree(leaves: list[tuple[int, str]], name: str) -> int:
+    def or_tree(leaves: list[tuple[int, str]], name: str) -> tuple[int, str]:
         """OR of (depth, wire) leaves into name, merging the two shallowest
-        first; one leaf gets an OR buffer.  Returns the depth of name."""
+        first; one leaf gets an OR buffer.  Returns the (depth, wire) that
+        readers of name read: the leaf itself behind a buffer."""
         nonlocal aux
+        if len(leaves) == 1:
+            a = leaves[0][1]
+            gates.append(Gate(name, OR, (a, a)))
+            return leaves[0]
         if len(leaves) > 2:
             heapify(leaves)
             while len(leaves) > 2:
@@ -222,127 +384,70 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
                 aux += 1
                 gates.append(Gate(node, OR, (a, b)))
                 heapreplace(leaves, (d + 1, node))
-        (d, a), (e, b) = leaves[0], leaves[-1]
+        (d, a), (e, b) = leaves
         gates.append(Gate(name, OR, (a, b)))
-        return max(d, e) + 1
+        return max(d, e) + 1, name
 
-    # Input layer.  Standard mode spends the circuit's only NOT gates here;
-    # flattened mode takes the complements as inputs instead.
-    zero_rail: list[str] = []
-    one_rail: list[str] = []
-    if flattened:
-        for i in range(n):
-            gates.append(Gate(f"x{i}__0", INPUT))
-            gates.append(Gate(f"x{i}__1", INPUT))
-            zero_rail.append(f"x{i}__0")
-            one_rail.append(f"x{i}__1")
-    else:
-        for i in range(n):
-            gates.append(Gate(f"x{i}", INPUT))
-        for i in range(n):
-            gates.append(Gate(f"x{i}_not", NOT, (f"x{i}",)))
-            zero_rail.append(f"x{i}_not")
-            one_rail.append(f"x{i}")
-
-    # Row 0: the input bits, then blanks, with the head in the start state
-    # on cell 0, whose entries are (start, symbol).  The entries for 0 and 1
-    # buffer the rails of the cell's input bit; every other entry is a const,
-    # 1 only for the blank beyond the input.
-    names = [[f"c_0_{c}_{k}" for k in range(na)] for c in range(cols)]
-    row0 = len(gates)
+    # wires[c][k]: the (depth, name) a reader of wire k of previous-row cell
+    # c reads, None for a const.  A wire that folds to one other wire is a
+    # buffer of it for the naming contract, and its readers read the other
+    # wire, as the copies' readers read row 0.  Depths count from row 0, so
+    # that the raw and the flattened compile shape their trees alike.
+    wires: list[list] = []
     for c in range(cols):
-        zero, one, blank = ((tm.start, s) if c == 0 else s
-                            for s in ("0", "1", BLANK))
-        rails = {zero: zero_rail[c], one: one_rail[c]} if c < n else {}
-        for name, entry in zip(names[c], cells):
-            if entry in rails:
-                gates.append(Gate(name, OR, (rails[entry], rails[entry])))
-            else:
-                gates.append(Gate(name, CONST, value=int(c >= n and entry == blank)))
+        names = [f"c_0_{c}_{k}" for k in range(na)]
+        for name, v in zip(names, row0[c * na:(c + 1) * na]):
+            gates.append(Gate(name, OR, (v, v)) if type(v) is str
+                         else Gate(name, CONST, value=v))
+        wires.append([(0, name) for name in names])
+    row0_wires = wires
 
-    # Rows 1..t.  After r steps the head is at column r or less, so cell
-    # (r, c) with c > r still holds its row-0 symbol and is built as a copy
-    # of row 0.  The cells of the cone, c <= r, are factored: keep (no head
-    # nearby, or a neighbor's head that does not come in) and arrive_q (a
-    # neighbor's head coming in in state q) are ORed once, then ANDed with
-    # the symbol the cell holds; a head on the cell itself feeds its step's
-    # target directly.  names/deps hold the previous row's wires and their
-    # depths, counted from row 0 so that the raw and the flattened compile
-    # shape their trees alike; the copies count as row 0.
-    row0_deps = [0] * na
-    deps = [row0_deps] * cols
-    for r in range(1, t + 1):
+    beyond = [None] * na  # the wires of a cell beyond the grid: never read
+    for r, (cone, read) in enumerate(cones, 1):
         pr = r - 1
-        # "holds a plain symbol" indicators of the previous row, as far as
-        # the cone's cells read them
-        sym = []
-        for c in range(min(r + 2, cols)):
-            name = f"sym_{pr}_{c}"
-            nm, dp = names[c], deps[c]
-            sym.append((or_tree([(dp[k], nm[k]) for k in range(n_sym)], name), name))
+        sym = {c: or_tree([wires[c][k] for k in range(n_sym)
+                           if rows[pr][c * na + k] == _X], f"sym_{pr}_{c}")
+               for c in read}
 
-        row_names, row_deps = [], []
-        for c in range(r + 1):
-            # both-neighbors-are-symbols guard; grid edges count as symbols
-            if c == 0:
-                side = sym[1]
-            elif c == t:
-                side = sym[c - 1]
-            else:
-                (dl, left), (dr, right) = sym[c - 1], sym[c + 1]
-                side = (max(dl, dr) + 1, f"nh_{pr}_{c}")
-                gates.append(Gate(side[1], AND, (left, right)))
-
-            guards, targets, _ = plans[(c == 0, c < r - 1, c < r)]
-            guard_wires = []
-            for j, (prefix, srcs) in enumerate(guards):
-                leaves = [(deps[c + dc][p], names[c + dc][p]) for dc, p in srcs]
-                if not j:
-                    leaves.append(side)
-                if len(leaves) == 1:
-                    guard_wires.append(leaves[0])
+        row_wires = []
+        for c, cell in enumerate(cone):
+            w = ((wires[c - 1] if c else beyond) + wires[c]
+                 + (wires[c + 1] if c < t else beyond)
+                 + [sym.get(c - 1), sym.get(c + 1)] + [None] * (tmp + 1 - nh))
+            for slot, label, op, args in cell.ops:
+                if type(label) is int:
+                    name = f"c_{r}_{c}_{label}"
+                elif label:
+                    name = f"{label}_{pr}_{c}"
                 else:
-                    name = f"{prefix}_{pr}_{c}"
-                    guard_wires.append((or_tree(leaves, name), name))
-
-            nm, dp = names[c], deps[c]
-            cell_names = [f"c_{r}_{c}_{k}" for k in range(na)]
-            cell_deps = []
-            for k, (ps, j) in enumerate(targets):
-                name = cell_names[k]
-                leaves = [(dp[p], nm[p]) for p in ps]
-                if j is not None:
-                    gd, g = guard_wires[j]
-                    h = held[k]
-                    d = max(gd, dp[h]) + 1
-                    if not leaves:
-                        gates.append(Gate(name, AND, (g, nm[h])))
-                        cell_deps.append(d)
-                        continue
-                    an = f"t{aux}"
+                    name = f"t{aux}"
                     aux += 1
-                    gates.append(Gate(an, AND, (g, nm[h])))
-                    leaves.append((d, an))
-                if leaves:
-                    cell_deps.append(or_tree(leaves, name))
+                if op == CONST:
+                    gates.append(Gate(name, CONST, value=args))
+                elif op == AND:
+                    (da, a), (db, b) = w[args[0]], w[args[1]]
+                    gates.append(Gate(name, AND, (a, b)))
+                    w[slot] = (max(da, db) + 1, name)
                 else:
-                    gates.append(Gate(name, CONST, value=0))
-                    cell_deps.append(0)
-            row_names.append(cell_names)
-            row_deps.append(cell_deps)
+                    w[slot] = or_tree([w[s] for s in args], name)
+            row_wires.append(w[t0:tmp])
 
         for c in range(r + 1, cols):
-            cell_names = [f"c_{r}_{c}_{k}" for k in range(na)]
-            for name, g in zip(cell_names, gates[row0 + c * na:row0 + (c + 1) * na]):
-                gates.append(Gate(name, OR, (g.name, g.name)) if g.op == OR
-                             else Gate(name, CONST, value=g.value))
-            row_names.append(cell_names)
-            row_deps.append(row0_deps)
-        names, deps = row_names, row_deps
+            for k in range(na):
+                v = row0[c * na + k]
+                name = f"c_{r}_{c}_{k}"
+                if type(v) is str:
+                    src = f"c_0_{c}_{k}"
+                    gates.append(Gate(name, OR, (src, src)))
+                else:
+                    gates.append(Gate(name, CONST, value=v))
+            row_wires.append(row0_wires[c])
+        wires = row_wires
 
-    accept = [index[(tm.accept, s)] for s in tm.alphabet]
-    or_tree([(deps[c][k], names[c][k]) for c in range(cols) for k in accept],
-            "accepted")
+    if accept:
+        or_tree([wires[s // na][s % na] for s in accept], "accepted")
+    else:
+        gates.append(Gate("accepted", CONST, value=int(accept is None)))
     return Circuit(tuple(gates), ("accepted",))
 
 

@@ -2,15 +2,16 @@
 
 import hashlib
 import random
+import re
 import tracemalloc
 
 import pytest
 
-from railcirc import (ACCEPT, BLANK, CONST, FLATTENED, NOT, OR, GateCapError,
-                      TIMEOUT, cell_alphabet, compile_tm, compile_tm_flattened,
-                      config_cells, emit_netlist, evaluate, exhaustive_equiv,
-                      initial_configuration, parse_tm, run, stats, step,
-                      tableau_trace, wire_values)
+from railcirc import (ACCEPT, AND, BLANK, CONST, FLATTENED, INPUT, NOT, OR,
+                      GateCapError, TIMEOUT, cell_alphabet, compile_tm,
+                      compile_tm_flattened, config_cells, emit_netlist,
+                      evaluate, exhaustive_equiv, initial_configuration,
+                      parse_tm, run, stats, step, tableau_trace, wire_values)
 from railcirc.bitsim import evaluate_masks, full_mask, input_masks
 from railcirc.tableau import SIZE_COEFF
 
@@ -267,12 +268,13 @@ def test_gate_cap_is_exact(flattened):
 
 
 def test_gate_cap_rejects_before_building():
-    # 1,588,928 gates, counted by cell kind before row 0 is built
+    # 748,904 gates, counted by the tag pass before row 0 is built; the
+    # cap lies between that and the 727,218 wires of the grid alone
     tm = parse_tm(fixture_text("parity.tm"))
     tracemalloc.start()
     try:
-        with pytest.raises(GateCapError, match="^1588928 gates exceed"):
-            compile_tm(tm, 6, 200, gate_cap=1_000_000)
+        with pytest.raises(GateCapError, match="^748904 gates exceed"):
+            compile_tm(tm, 6, 200, gate_cap=740_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -296,40 +298,83 @@ def test_size_bound_and_growth():
 
 
 def test_factored_compile_is_small_and_shallow():
-    # keep/arrive factoring, row-0 copies outside the light cone and OR
-    # trees that merge their two shallowest operands first give 23,848
-    # gates of depth 147 (146 flattened); building every cell, with
-    # balanced trees in leaf order, needs 36,344 gates of depth 264
+    # keep/arrive factoring, row-0 copies outside the light cone, OR trees
+    # that merge their two shallowest operands first and the fold of the
+    # input-independent wires give 11,728 gates of depth 16 (15 flattened)
+    # at t=24 and 78,628 of depth 16 (15) at t=64.  Without the fold they
+    # were 23,848 / 147 and 164,668 / 388; building every cell, with
+    # balanced trees in leaf order, took 36,344 gates of depth 264 at t=24
     tm = parse_tm(fixture_text("parity.tm"))
-    for compile_ in (compile_tm, compile_tm_flattened):
-        s = stats(compile_(tm, 6, 24))
-        assert s.total_gates <= 24_000, compile_.__name__
-        assert s.depth <= 150, compile_.__name__
+    for t, most, deepest in ((24, 11_800, 16), (64, 79_000, 16)):
+        for compile_ in (compile_tm, compile_tm_flattened):
+            s = stats(compile_(tm, 6, t))
+            assert s.total_gates <= most, (t, compile_.__name__)
+            assert s.depth <= deepest, (t, compile_.__name__)
 
 
 def test_depth_per_row():
-    # about 6 levels per row (193 from t=32 to t=64); building every cell
-    # with balanced trees in leaf order adds 9 (289)
+    # Once the machine has halted on every input a row adds no level: its
+    # wires are consts, or buffers whose readers read the buffered wire.
+    # While the head reads the input, contains_one adds one level per row
+    # (35 at n=31, t=32; 67 at n=63, t=64).  Unfolded, a row added about 6
+    # (193 from t=32 to t=64 at n=2).
     tm = parse_tm(fixture_text("contains_one.tm"))
     depth = {t: stats(compile_tm(tm, 2, t)).depth for t in (32, 64)}
-    assert depth[64] - depth[32] <= 32 * 6.25, depth
+    assert depth[64] == depth[32] <= 5, depth
+    wide = {t: stats(compile_tm(tm, t - 1, t)).depth for t in (32, 64)}
+    assert wide[64] - wide[32] <= 32, wide
+
+
+def _assert_folded(c, where):
+    """No AND or OR reads a const; a const or an OR(x, x) buffer is a
+    c_r_c_k wire or the output; every other gate but an input or an input
+    NOT is read by some gate."""
+    op = {g.name: g.op for g in c.gates}
+    read = {a for g in c.gates for a in g.args}
+    for g in c.gates:
+        contract = g.name == "accepted" or re.fullmatch(r"c_\d+_\d+_\d+", g.name)
+        if g.op in (AND, OR):
+            assert CONST not in (op[a] for a in g.args), (where, g)
+        if g.op == CONST or g.op == OR and g.args[0] == g.args[1]:
+            assert contract, (where, g)
+        elif g.op not in (INPUT, NOT) and not contract:
+            assert g.name in read, (where, g)
+
+
+def test_fold_is_complete_on_generated_machines():
+    rng = random.Random(2026)
+    for _ in range(40):
+        tm = _random_machine(rng)
+        n = rng.randint(0, 5)
+        t = rng.randint(max(1, n - 1), 12)
+        where = (tm.delta, n, t)
+        raw, flat = compile_tm(tm, n, t), compile_tm_flattened(tm, n, t)
+        _assert_folded(raw, where)
+        _assert_folded(flat, where)
+        sr, sf = stats(raw), stats(flat)
+        assert (sr.and_count, sr.or_count, sr.const_count) == \
+            (sf.and_count, sf.or_count, sf.const_count), where
+        # the tag pass counts the folded gates exactly
+        exact = len(raw.gates)
+        with pytest.raises(GateCapError, match=f"^{exact} gates exceed"):
+            compile_tm(tm, n, t, gate_cap=exact - 1)
 
 
 # sha256 of emit_netlist(compile_tm(...)) and of compile_tm_flattened, per
 # (fixture, n, t)
 NETLIST_DIGESTS = {
     ("contains_one.tm", 6, 24): (
-        "a9dea57e48856679d3922e08f997f1c1511bfa5132f35289643a524fa352b67c",
-        "c8deb6bae9f77e87721555b1fee2aa9c318c620cd6ce45ddb932fe438737bea0"),
+        "aa288ee8360029dbcef5d320857214f80ddcf74dabc963558ea52af0e5e97553",
+        "dbd314184ebc618eefb114f38e9afdeb9e1c493feb555a1488b0875ee48285b7"),
     ("contains_one.tm", 2, 8): (
-        "0fbbee98d4d9c06993aa5ebf690ffeaa1e5c6d3d8b870de68ff134d2037a9b2f",
-        "1672583c809145eb0a8804209a9d6b2e657e928732064eaf0aa2fdb1357a76eb"),
+        "b3b25bae00d09f8bf2ff2f2f78c6909119f5129b75bda28c9619e2074d6ecb7d",
+        "7b983b9a6d80c180da41270e7d06e28b277b86f9536b29dec0b88b473f4fb270"),
     ("parity.tm", 6, 24): (
-        "88015fe994541ea114ae6a1a9f45fe0e66300104cef7073db40b44668e4f72e8",
-        "ab13de9b18c6dd961336a7b49378aa7503d9776c0de2d3d1532ff5128ac98722"),
+        "6c356365e1ad8dea052b816f7760ba53a7445407cbd10f73d057925cf4e1951f",
+        "43be78d12ae2f0b15f50530bbee34afcf27c06d27691adf1f98538492604513f"),
     ("parity.tm", 2, 8): (
-        "7b89644c2ae0f78d16e9009673ec5a993861458f4ca64ea797582d5c5ac4866f",
-        "7ee0ee412c79735bb7d0feb2d5acd975669e3d568d60621acbc2fd200c95ad69"),
+        "ea543cd5fe508839dac93f550ab066364f1a2beb71300d9613fe24d81db7f660",
+        "f444c2900e2627eb45caf0a8b7bc4d9443605c4c60ad28d0d0b946b03f894502"),
 }
 
 
