@@ -19,12 +19,17 @@ The first NAME after a keyword defines a new gate; ``output`` references an
 already-defined one.  Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.  Tokens
 are separated by any whitespace; emission always uses single spaces, one
 definition per line, output lines last.
+
+Netlist text is checked by one scanner, ``read_netlist``, one line at a
+time: ``parse_netlist`` and the streamed dual-rail rewrite both read it, so
+both report the first faulty line in file order with the same message.  A
+Circuit built from Gate values in the library is checked by its
+constructor instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
 INPUT = "input"
@@ -32,10 +37,14 @@ CONST = "const"
 AND = "and"
 OR = "or"
 NOT = "not"
+OUTPUT = "output"  # the keyword of an output line, not a gate kind
 
 _ARITY = {INPUT: 0, CONST: 0, AND: 2, OR: 2, NOT: 1}
-# Tokens on a netlist line, keyword included.
-_TOKENS = {INPUT: 2, CONST: 3, AND: 4, OR: 4, NOT: 3, "output": 2}
+# Per netlist keyword: its kind and its number of tokens, keyword included.
+# The kind is the module's own string object, so a parsed gate holds no
+# per-line keyword token.
+_KEYWORDS = {kind: (kind, width) for kind, width in (
+    (INPUT, 2), (CONST, 3), (AND, 4), (OR, 4), (NOT, 3), (OUTPUT, 2))}
 
 
 class NetlistError(ValueError):
@@ -59,9 +68,8 @@ class Gate(NamedTuple):
 
     A named tuple: cheap to build, and since it holds only strings, ints and
     a tuple of strings, the garbage collector stops tracking it after one
-    collection.  Nothing is checked here; ``check_gate`` checks it, in a
-    Circuit or in the streamed dual-rail rewrite, and a Circuit turns a list
-    ``args`` into a tuple.
+    collection.  Nothing is checked here; a Circuit checks it with
+    ``check_gate`` and turns a list ``args`` into a tuple.
     """
 
     name: str
@@ -71,16 +79,15 @@ class Gate(NamedTuple):
 
 
 def check_gate(name, op, args, value, index) -> tuple:
-    """Check one gate against the gates defined before it; return what
-    ``index`` maps its operands to.
+    """Check one library-built gate against the gates defined before it;
+    return the positions of its operands.
 
-    ``index`` maps every name defined so far: ``Circuit`` passes name ->
-    position, the streamed dual-rail rewrite passes name -> rail pair.
-    This is the one structural rule set: known kind, name syntax, no
-    duplicate, a tuple or list of operands of the kind's arity, a 0/1
-    payload on const gates only, operands defined above.  Raises
-    NetlistError without a location; the caller adds the gate position or
-    the source line.
+    ``index`` maps every name defined so far to its position.  The rules:
+    known kind, name syntax, no duplicate, a tuple or list of operands of
+    the kind's arity, a 0/1 payload on const gates only, operands defined
+    above.  Values of any type may come in, so each is checked for its
+    type as well.  Raises NetlistError without a location; the Circuit adds
+    the gate position.
     """
     try:
         arity = _ARITY.get(op)
@@ -127,10 +134,11 @@ class Circuit:
 
     Construction runs ``check_gate`` on every gate (unique names, known
     kinds, correct arities, no forward references) and checks the outputs,
-    so every reachable Circuit is well formed; parse_netlist relies on it.
-    The streamed dual-rail rewrite runs the same per-gate check without
-    building a Circuit.  Evaluation and the analyses below are pure
-    functions; a Circuit can be shared freely between threads.
+    so every reachable Circuit is well formed.  ``parse_netlist`` checks
+    its text with ``read_netlist`` instead and stores the parts through the
+    same ``_fill``, without checking them again.  Evaluation and the
+    analyses below are pure functions; a Circuit can be shared freely
+    between threads.
     """
 
     gates: tuple[Gate, ...]
@@ -163,11 +171,19 @@ class Circuit:
                 defined = False
             if not defined:
                 raise NetlistError(f"output references undefined gate {o!r}")
-        object.__setattr__(self, "gates", gates if retupled is None else tuple(retupled))
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_arg_pos", tuple(arg_pos))
-        object.__setattr__(self, "_inputs", tuple(inputs))
+        self._fill(gates if retupled is None else tuple(retupled), outputs,
+                   index, tuple(arg_pos), tuple(inputs))
+
+    def _fill(self, gates, outputs, index, arg_pos, inputs) -> Circuit:
+        """Store checked parts: the gates and outputs, each name's position,
+        each gate's operand positions and the input names."""
+        setattr_ = object.__setattr__
+        setattr_(self, "gates", gates)
+        setattr_(self, "outputs", outputs)
+        setattr_(self, "_index", index)
+        setattr_(self, "_arg_pos", arg_pos)
+        setattr_(self, "_inputs", inputs)
+        return self
 
     @property
     def inputs(self) -> tuple[str, ...]:
@@ -182,16 +198,20 @@ class Circuit:
                 f"outputs={len(self.outputs)})")
 
 
-# Gate from a 4-tuple without the Python frame of Gate.__new__: half the
-# cost of Gate(...) per netlist line.
-_gate = partial(tuple.__new__, Gate)
+def read_netlist(lines: Iterable[str], index: dict) -> Iterator[tuple]:
+    """Check netlist lines one at a time and resolve their operands.
 
+    Yields ``(line, kind, name, args, value, operands)`` per definition
+    line and ``(line, OUTPUT, name, (), None, (index[name],))`` per
+    ``output`` line, comments and blanks skipped.  ``kind`` is one of the
+    module's kind constants, ``args`` the operand names and ``operands``
+    what ``index`` maps them to.  ``index`` maps every name defined above
+    the line: ``parse_netlist`` passes name -> position, the streamed
+    dual-rail rewrite name -> rail pair, and the caller adds each yielded
+    gate's name before it asks for the next line.
 
-def read_netlist(lines: Iterable[str]) -> Iterator[tuple[int, Gate | str]]:
-    """Tokenize netlist lines: (line number, Gate) per definition line and
-    (line number, name) per ``output`` line, comments and blanks skipped.
-
-    Only tokens are checked here (keyword, token count, const value); a
+    Each line is checked once, in this order: keyword, token count, const
+    value, name syntax, duplicate name, operands defined above.  The first
     fault raises NetlistError at its line.  Lines may keep their newline.
     """
     for lineno, raw in enumerate(lines, start=1):
@@ -200,24 +220,47 @@ def read_netlist(lines: Iterable[str]) -> Iterator[tuple[int, Gate | str]]:
         tokens = raw.split()
         if not tokens:
             continue
-        keyword = tokens[0]
-        width = _TOKENS.get(keyword)
-        if width is None:
-            raise NetlistError(f"unknown keyword {keyword!r}", lineno)
+        try:
+            kind, width = _KEYWORDS[tokens[0]]
+        except KeyError:
+            raise NetlistError(f"unknown keyword {tokens[0]!r}", lineno) from None
         if len(tokens) != width:
             raise NetlistError(
-                f"{keyword} line takes {width - 1} token(s) after the keyword, "
+                f"{kind} line takes {width - 1} token(s) after the keyword, "
                 f"got {len(tokens) - 1}", lineno)
-        if width == 4:
-            yield lineno, _gate((tokens[1], keyword, (tokens[2], tokens[3]), None))
-        elif keyword == "output":
-            yield lineno, tokens[1]
-        elif keyword == CONST:
-            if tokens[2] not in ("0", "1"):
-                raise NetlistError(f"const value must be 0 or 1, got {tokens[2]!r}", lineno)
-            yield lineno, _gate((tokens[1], CONST, (), int(tokens[2])))
-        else:
-            yield lineno, _gate((tokens[1], keyword, tuple(tokens[2:]), None))
+        name = tokens[1]
+        if kind is OUTPUT:
+            if name not in index:
+                raise NetlistError(f"undefined reference {name!r}", lineno)
+            yield lineno, OUTPUT, name, (), None, (index[name],)
+            continue
+        value = None
+        if kind is CONST:
+            value = tokens[2]
+            if value != "0" and value != "1":
+                raise NetlistError(f"const value must be 0 or 1, got {value!r}", lineno)
+            value = int(value)
+        # for ASCII text, isidentifier() is exactly [A-Za-z_][A-Za-z0-9_]*
+        if not (name.isascii() and name.isidentifier()):
+            raise NetlistError(f"invalid name {name!r}", lineno)
+        if name in index:
+            raise NetlistError(f"duplicate name {name!r}", lineno)
+        try:
+            if width == 4:
+                a = tokens[2]
+                b = tokens[3]
+                args = (a, b)
+                operands = (index[a], index[b])
+            elif kind is NOT:
+                a = tokens[2]
+                args = (a,)
+                operands = (index[a],)
+            else:
+                args = operands = ()
+        except KeyError as exc:
+            raise NetlistError(f"undefined reference {exc.args[0]!r} in gate {name!r}",
+                               lineno) from None
+        yield lineno, kind, name, args, value, operands
 
 
 def parse_netlist(text: str) -> Circuit:
@@ -225,58 +268,41 @@ def parse_netlist(text: str) -> Circuit:
 
     Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as the CLI's files are
     read; other whitespace, form feed included, only separates tokens.
-    read_netlist checks tokens; the Circuit constructor checks structure,
-    and a fault it finds is reported at the source line of the failing gate.
+    Every check is ``read_netlist``'s, so the first faulty line in file
+    order is reported; the checked parts become the Circuit as they are.
     """
+    index: dict[str, int] = {}
     gates: list[Gate] = []
-    gate_at: list[int] = []
+    arg_pos: list[tuple[int, ...]] = []
+    inputs: list[str] = []
     outputs: list[str] = []
-    # (line, gates defined above it) per output line
-    output_at: list[tuple[int, int]] = []
     if "\r" in text:  # universal newlines: \r\n and a lone \r end a line
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, item in read_netlist(text.split("\n")):
-        if type(item) is str:
-            outputs.append(item)
-            output_at.append((lineno, len(gates)))
-        else:
-            gates.append(item)
-            gate_at.append(lineno)
-    try:
-        c = Circuit(gates, outputs)
-    except NetlistError as exc:
-        if exc.gate is not None:
-            raise NetlistError(str(exc), gate_at[exc.gate]) from None
-        defined = {g.name for g in gates}
-        for o, (lineno, _) in zip(outputs, output_at):
-            if o not in defined:
-                raise NetlistError(f"undefined reference {o!r}", lineno) from None
-        raise
-    index = c._index
-    for o, (lineno, defined_above) in zip(outputs, output_at):
-        if index[o] >= defined_above:
-            raise NetlistError(f"undefined reference {o!r}", lineno)
-    return c
+    for _, kind, name, args, value, operands in read_netlist(text.split("\n"), index):
+        if kind is OUTPUT:
+            outputs.append(name)
+            continue
+        index[name] = len(gates)
+        # tuple.__new__ skips the Python frame of Gate.__new__
+        gates.append(tuple.__new__(Gate, (name, kind, args, value)))
+        arg_pos.append(operands)
+        if kind is INPUT:
+            inputs.append(name)
+    return object.__new__(Circuit)._fill(tuple(gates), tuple(outputs), index,
+                                         tuple(arg_pos), tuple(inputs))
 
 
-def gate_lines(gates) -> list[str]:
-    """The canonical netlist lines of gates, or of plain tuples in Gate's
-    field order, without newlines."""
+def emit_netlist(c: Circuit) -> str:
+    """Render the canonical netlist text; parse(emit(c)) reproduces c."""
     lines = []
     append = lines.append
-    for name, op, args, value in gates:
+    for name, op, args, value in c.gates:
         if args:
             append(f"{op} {name} {' '.join(args)}")
         elif op == INPUT:
             append(f"input {name}")
         else:
             append(f"const {name} {value}")
-    return lines
-
-
-def emit_netlist(c: Circuit) -> str:
-    """Render the canonical netlist text; parse(emit(c)) reproduces c."""
-    lines = gate_lines(c.gates)
     lines += ["output " + o for o in c.outputs]
     return "\n".join(lines) + "\n" if lines else ""
 

@@ -13,11 +13,13 @@ circuits handed to the transform must not use it in their own names.
 Behavior of transformed circuits off the valid flattened domain (both rails
 equal) is well defined but carries no guarantees.
 
-The rewrite is local: ``rail_gates`` turns one gate into its rail gates from
-its operands' rails alone.  ``dual_rail_transform`` applies it to a Circuit;
-``dual_rail_netlist`` applies it to netlist text line by line, checking each
-line with the per-gate check that Circuit uses (``circuit.check_gate``) and
-keeping only the rails of each defined name, never a Circuit.
+The rewrite is local: each gate's rail pair and rail gates follow from its
+operands' rails alone, so it runs in one pass over netlist text.
+``dual_rail_netlist`` checks each line with ``circuit.read_netlist``, the
+scanner ``parse_netlist`` uses, and writes its rail lines at once, keeping
+only the rails of each defined name, never a Circuit.  That pass is the
+only rewrite: ``dual_rail_transform`` and ``rail_map`` run it on a
+circuit's emitted text.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from typing import Iterable
 
 from .bitsim import (assignment_of_index, evaluate_masks, full_mask, input_masks,
                      lowest_set_bit, rail_masks)
-from .circuit import (AND, CONST, INPUT, NOT, OR, Circuit, Gate, NetlistError,
-                      check_gate, gate_lines, read_netlist)
+from .circuit import (AND, INPUT, NOT, OR, OUTPUT, Circuit, Gate, NetlistError,
+                      emit_netlist, parse_netlist, read_netlist)
 from .reports import RAIL, CounterexampleReport
 
 RAIL_SEPARATOR = "__"
+# The kind of an AND/OR gate's zero-rail gate: by De Morgan, its dual.
+_DUAL = {AND: OR, OR: AND}
 
 _NON_BIT = re.compile("[^01]")
 _ZERO_RAILS = bytes.maketrans(b"01", b"10")
@@ -128,95 +132,80 @@ def build_eq_classifier(n: int) -> Circuit:
     return Circuit(tuple(gates), (acc,))
 
 
-def rail_gates(gate: Gate, operands) -> tuple[tuple[str, str], tuple[tuple, ...]]:
-    """The rewrite rule: one source gate's rail pair and the gates carrying it.
+def _rewrite(lines: Iterable[str]) -> tuple[list[str], dict[str, tuple[str, str]]]:
+    """The rewrite rule, applied to netlist lines in one pass.
 
-    ``operands`` holds the (zero, one) rails of the gate's operands, in
-    order.  With (z, o) the rails of a wire:
+    Returns the rail lines, ``output`` lines after them, and the (zero,
+    one) rails of each source wire.  With (z, o) the rails of a wire:
       input x      ->  input x__0, input x__1
       const k      ->  const pair (1-k, k)
       not a        ->  rail swap, no gates
       and w a b    ->  w__0 = a__0 or  b__0,  w__1 = a__1 and b__1
       or  w a b    ->  w__0 = a__0 and b__0,  w__1 = a__1 or  b__1
+      output w     ->  output w's one-rail
     A NOT gate's rails alias its operand's, swapped, so they are named after
-    another gate.  Every rewrite goes through this function, which is the
-    only place the swap is decided and the reserved separator rejected.
-    The rail gates are plain (name, op, args, value) tuples in Gate's field
-    order: the text rewrite formats them at once and never needs a Gate.
+    another gate.  This is the only place the swap is decided and the
+    reserved separator rejected.
     """
-    name, op, _, value = gate
-    if RAIL_SEPARATOR in name:
-        raise ValueError(
-            f"gate name {name!r} contains the reserved rail separator "
-            f"{RAIL_SEPARATOR!r}")
-    if op == NOT:
-        ((z, o),) = operands
-        return (o, z), ()
-    z = name + "__0"
-    o = name + "__1"
-    if op == AND:
-        (za, oa), (zb, ob) = operands
-        return (z, o), ((z, OR, (za, zb), None), (o, AND, (oa, ob), None))
-    if op == OR:
-        (za, oa), (zb, ob) = operands
-        return (z, o), ((z, AND, (za, zb), None), (o, OR, (oa, ob), None))
-    if op == INPUT:
-        return (z, o), ((z, INPUT, (), None), (o, INPUT, (), None))
-    return (z, o), ((z, CONST, (), 1 - value), (o, CONST, (), value))
-
-
-def rail_map(b: Circuit) -> dict[str, tuple[str, str]]:
-    """The (zero, one) rail names carried by each source wire after the transform."""
     rails: dict[str, tuple[str, str]] = {}
-    for gate in b.gates:
-        rails[gate.name] = rail_gates(gate, [rails[a] for a in gate.args])[0]
-    return rails
-
-
-def dual_rail_transform(b: Circuit) -> Circuit:
-    """Rewrite a circuit into a NOT-free one over rail-pair inputs.
-
-    Each gate goes through ``rail_gates``, its operands' rails read by
-    position, and each source output maps to its one-rail.  The result
-    carries at most two AND/OR gates per source gate and no NOT gates at all.
-    """
-    rails: list[tuple[str, str]] = []
-    gates: list[Gate] = []
-    for gate, pos in zip(b.gates, b._arg_pos):
-        pair, new = rail_gates(gate, [rails[p] for p in pos])
-        rails.append(pair)
-        gates += map(Gate._make, new)
-    return Circuit(tuple(gates), tuple(rails[b._index[w]][1] for w in b.outputs))
+    out: list[str] = []
+    outputs: list[str] = []
+    append = out.append
+    for lineno, kind, name, _, value, operands in read_netlist(lines, rails):
+        if kind is OUTPUT:
+            outputs.append("output " + operands[0][1])
+            continue
+        if RAIL_SEPARATOR in name:
+            raise NetlistError(
+                f"gate name {name!r} contains the reserved rail separator "
+                f"{RAIL_SEPARATOR!r}", lineno)
+        if kind is NOT:
+            z, o = operands[0]
+            rails[name] = (o, z)
+            continue
+        z = name + "__0"
+        o = name + "__1"
+        rails[name] = (z, o)
+        dual = _DUAL.get(kind)
+        if dual is not None:
+            (za, oa), (zb, ob) = operands
+            append(f"{dual} {z} {za} {zb}")
+            append(f"{kind} {o} {oa} {ob}")
+        elif kind is INPUT:
+            append("input " + z)
+            append("input " + o)
+        else:
+            append(f"const {z} {1 - value}")
+            append(f"const {o} {value}")
+    out += outputs
+    return out, rails
 
 
 def dual_rail_netlist(lines: Iterable[str]) -> str:
     """The canonical text of the dual-rail rewrite of netlist lines.
 
     Equal to ``emit_netlist(dual_rail_transform(parse_netlist(text)))`` on
-    every valid netlist, but built line by line without either circuit: each
-    line is tokenized by ``read_netlist``, checked by ``check_gate`` against
-    the rails of the names defined above it, and rewritten by
-    ``rail_gates``; its rail lines go to a buffer, ``output`` lines after
-    them.  A fault raises NetlistError at the first faulty line in file
-    order, whatever its kind, and no text is returned.
+    every valid netlist, but built line by line without either circuit.  A
+    fault raises NetlistError at the first faulty line in file order, with
+    ``parse_netlist``'s message, and no text is returned.
     """
-    rails: dict[str, tuple[str, str]] = {}
-    out: list[str] = []
-    outputs: list[str] = []
-    for lineno, item in read_netlist(lines):
-        try:
-            if type(item) is str:
-                if item not in rails:
-                    raise NetlistError(f"undefined reference {item!r}")
-                outputs.append("output " + rails[item][1])
-                continue
-            pair, new = rail_gates(item, check_gate(*item, rails))
-        except ValueError as exc:
-            raise NetlistError(str(exc), lineno) from None
-        rails[item.name] = pair
-        out += gate_lines(new)
-    out += outputs
+    out = _rewrite(lines)[0]
     return "\n".join(out) + "\n" if out else ""
+
+
+def rail_map(b: Circuit) -> dict[str, tuple[str, str]]:
+    """The (zero, one) rail names carried by each source wire after the transform."""
+    return _rewrite(emit_netlist(b).split("\n"))[1]
+
+
+def dual_rail_transform(b: Circuit) -> Circuit:
+    """Rewrite a circuit into a NOT-free one over rail-pair inputs.
+
+    The rewrite of the circuit's netlist, parsed back.  Each source output
+    maps to its one-rail.  The result carries at most two AND/OR gates per
+    source gate and no NOT gates at all.
+    """
+    return parse_netlist(dual_rail_netlist(emit_netlist(b).split("\n")))
 
 
 def validate_rail_complement(b: Circuit, m: Circuit) -> CounterexampleReport | None:

@@ -7,6 +7,7 @@ import pytest
 from railcirc import (AND, CONST, INPUT, NOT, OR, Circuit, Gate, NetlistError, emit_dot,
                       emit_netlist, evaluate, is_structurally_monotone,
                       parse_netlist, stats, wire_values)
+from railcirc.dualrail import dual_rail_netlist
 from railcirc.verify import check_semantic_monotone
 
 from helpers import messy_netlist, random_circuit, random_monotone_circuit
@@ -35,6 +36,8 @@ def test_parse_identity():
 def test_parse_classifier_structure():
     c = parse_netlist(EQ_CLASSIFIER_SRC)
     assert [g.op for g in c.gates] == [INPUT] * 4 + [AND, AND, OR]
+    # the kind constants themselves, not a keyword token kept per gate
+    assert all(g.op is op for g, op in zip(c.gates, [INPUT] * 4 + [AND, AND, OR]))
     assert [g.name for g in c.gates] == ["x0", "x1", "y0", "y1", "a", "b", "e"]
     assert c.gates[4].args == ("x0", "y0")
 
@@ -85,14 +88,84 @@ _PREAMBLE = "# bad netlist\n\n   # indented comment\n\t\n"
     ("input x\nnand g x x\n", 6, "unknown keyword 'nand'"),
     ("input x\nconst k 2\n", 6, "const value must be 0 or 1"),
     ("input x\nand g x\n", 6, "token"),
+    # the first faulty line in file order, whatever the kind of its fault
+    ("input x\nand g x ghost\ninput y z\noutput g\n", 6, "undefined reference 'ghost'"),
+    ("input x\noutput ghost\nand g x y\n", 6, "undefined reference 'ghost'"),
 ], ids=["duplicate", "invalid-name", "undefined-operand", "forward-reference",
         "output-before-definition", "output-never-defined", "unknown-keyword",
-        "bad-const", "token-count"])
+        "bad-const", "token-count", "structural-above-token-count",
+        "output-above-undefined-operand"])
 def test_parse_errors_name_their_line(body, line, match):
     with pytest.raises(NetlistError, match=match) as info:
         parse_netlist(_PREAMBLE + body)
     assert info.value.line == line
     assert str(info.value).startswith(f"line {line}: ")
+
+
+def _defined_name(line):
+    """The name a netlist line defines, or None."""
+    tokens = line.split("#")[0].split()
+    return tokens[1] if tokens and tokens[0] != "output" else None
+
+
+def _fault_line(kind, rng, above, below):
+    """A netlist line with one fault of ``kind``, given the names defined
+    above it and below it, and the message it raises there."""
+    a = rng.choice(above)
+    if kind == "keyword":
+        return f"nand fresh {a} {a}", "unknown keyword 'nand'"
+    if kind == "token-count":
+        return f"and fresh {a}", "and line takes 3 token(s) after the keyword, got 2"
+    if kind == "const-value":
+        return "const fresh 2", "const value must be 0 or 1, got '2'"
+    if kind == "name":
+        return f"not 9fresh {a}", "invalid name '9fresh'"
+    if kind == "duplicate":
+        return f"input {a}", f"duplicate name {a!r}"
+    if kind == "undefined-operand":
+        return f"or fresh {a} ghost", "undefined reference 'ghost' in gate 'fresh'"
+    if kind == "early-output":
+        b = rng.choice(below or ["ghost"])
+        return f"output {b}", f"undefined reference {b!r}"
+    return "input a__b", "gate name 'a__b' contains the reserved rail separator '__'"
+
+
+_FAULT_KINDS = ("keyword", "token-count", "const-value", "name", "duplicate",
+                "undefined-operand", "early-output", "reserved-separator")
+
+
+def test_parse_and_flatten_report_the_same_first_fault():
+    """On generated netlists with one fault of each kind at a random line,
+    and often a second fault of any kind below it, parse_netlist and the
+    streamed rewrite raise at the first faulty line with one message.  The
+    reserved separator is a fault of the rewrite only."""
+    rng = random.Random(1212)
+    for _ in range(40):
+        c = random_circuit(rng, max_inputs=5, max_gates=25)
+        lines = messy_netlist(rng, c, early_outputs=rng.random() < 0.5).splitlines(True)
+        defines = [_defined_name(line) for line in lines]
+        first = 1 + next(i for i, d in enumerate(defines) if d)
+        for kind in _FAULT_KINDS:
+            at = rng.randint(first, len(lines))
+            above = [d for d in defines[:at] if d]
+            below = [d for d in defines[at:] if d]
+            bad, message = _fault_line(kind, rng, above, below)
+            faulty = lines[:at] + [bad + "\r\n"] + lines[at:]
+            if rng.random() < 0.7:  # a second fault below the first
+                later = rng.randint(at + 1, len(faulty))
+                second, _ = _fault_line(rng.choice(_FAULT_KINDS), rng,
+                                        [d for d in defines[:later - 1] if d],
+                                        [d for d in defines[later - 1:] if d])
+                faulty.insert(later, second + "\n")
+            text = "".join(faulty)
+            with pytest.raises(NetlistError) as flat:
+                dual_rail_netlist(text.splitlines())
+            assert (flat.value.line, str(flat.value)) == (at + 1, f"line {at + 1}: {message}")
+            if kind != "reserved-separator":
+                with pytest.raises(NetlistError) as parsed:
+                    parse_netlist(text)
+                assert (parsed.value.line, str(parsed.value)) == (flat.value.line,
+                                                                   str(flat.value))
 
 
 @pytest.mark.parametrize("gates, pos, match", [

@@ -6,8 +6,8 @@ import tracemalloc
 
 import pytest
 
-from railcirc import (CONST, NOT, Circuit, Gate, dual_rail_transform, emit_netlist,
-                      flatten_bits, parse_netlist, stats)
+from railcirc import (CONST, NOT, RAIL_SEPARATOR, Circuit, Gate, dual_rail_transform,
+                      emit_netlist, flatten_bits, parse_netlist, stats)
 from railcirc.cli import main
 
 from helpers import FIXTURES, messy_netlist, random_circuit
@@ -200,12 +200,15 @@ _FLATTEN_FAULTS = [
     "undefined-operand", "output-above-its-gate", "reserved-separator",
     "structural-above-token"])
 def test_flatten_fault_table(tmp_path, capsys, text, line, message):
+    """flatten, and stats on a fault that is not the rewrite's own, report
+    the first faulty line with one message."""
     src = tmp_path / "bad.net"
     src.write_text(text)
-    assert main(["flatten", str(src)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: line {line}: {message}\n"
+    for command in ("flatten",) if RAIL_SEPARATOR in text else ("flatten", "stats"):
+        assert main([command, str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line {line}: {message}\n"
 
 
 def test_flatten_matches_the_library_rewrite(tmp_path, capsys):

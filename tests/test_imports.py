@@ -1,8 +1,13 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level function, class or constant is exported or read.
 
-``__init__.py`` is exempt, since its imports are the package's exports, and
-so are ``__future__`` imports.  A name counts as used when it appears as an
-identifier anywhere in the module, annotations included.
+``__init__.py`` is exempt from the import check, since its imports are the
+package's exports, and so are ``__future__`` imports.  A name counts as used
+when it appears as an identifier anywhere in the module, annotations
+included.  A definition counts as read when a library or test module loads
+it, by name or as an attribute.  Test modules count because
+``tableau.SIZE_COEFF``, the size bound the tableau tests check, is read
+only by them.
 """
 
 import ast
@@ -10,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "railcirc"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "railcirc"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -41,3 +47,62 @@ def test_checker_finds_an_unused_import():
 def test_module_uses_every_import(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def definitions(tree) -> dict[str, int]:
+    """Top-level functions, classes and assigned names, with their lines."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    found[target.id] = node.lineno
+    return found
+
+
+def reads(tree) -> set[str]:
+    """Names a module loads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unread_definitions(modules: dict[str, str], exports: str,
+                       readers: tuple[str, ...] = ()) -> list[str]:
+    """Definitions in ``modules`` (file name -> source) that the ``exports``
+    source does not import and that no module, nor any source in
+    ``readers``, reads."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    exported = {alias.asname or alias.name for node in ast.walk(ast.parse(exports))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set().union(*map(reads, trees.values()),
+                       *(reads(ast.parse(text)) for text in readers))
+    return [f"{module} line {line}: {name}"
+            for module, tree in trees.items()
+            for name, line in definitions(tree).items()
+            if name not in exported and name not in read]
+
+
+def test_checker_finds_an_unread_definition():
+    modules = {
+        "a.py": "LIMIT = 3\n_SPARE = 4\nBOUND = 5\ndef used():\n    return LIMIT\n"
+                "def orphan():\n    return used()\nclass Kept:\n    pass\n",
+        "b.py": "from .a import Kept\nprint(Kept)\n",
+    }
+    readers = ("from a import BOUND\nassert BOUND\n",)
+    assert unread_definitions(modules, "from .a import used\n", readers) == [
+        "a.py line 2: _SPARE", "a.py line 6: orphan"]
+
+
+def test_every_definition_is_exported_or_read():
+    modules = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in MODULES}
+    exports = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    tests = tuple(p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py")))
+    assert unread_definitions(modules, exports, tests) == []

@@ -268,13 +268,15 @@ def test_gate_cap_is_exact(flattened):
 
 
 def test_gate_cap_rejects_before_building():
-    # 748,904 gates, counted by the tag pass before row 0 is built; the
-    # cap lies between that and the 727,218 wires of the grid alone
+    # 748,904 gates, counted by the tag pass before row 0 is built.  The
+    # cap is the 727,218 wires of the grid alone: the largest cap the grid
+    # check admits and below any exact count, so a changed count fails the
+    # match at once instead of building the circuit
     tm = parse_tm(fixture_text("parity.tm"))
     tracemalloc.start()
     try:
         with pytest.raises(GateCapError, match="^748904 gates exceed"):
-            compile_tm(tm, 6, 200, gate_cap=740_000)
+            compile_tm(tm, 6, 200, gate_cap=727_218)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
