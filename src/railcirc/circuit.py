@@ -207,7 +207,7 @@ def read_netlist(lines: Iterable[str], index: dict) -> Iterator[tuple]:
     module's kind constants, ``args`` the operand names and ``operands``
     what ``index`` maps them to.  ``index`` maps every name defined above
     the line: ``parse_netlist`` passes name -> position, the streamed
-    dual-rail rewrite name -> rail pair, and the caller adds each yielded
+    dual-rail rewrite name -> zero-rail name, and the caller adds each yielded
     gate's name before it asks for the next line.
 
     Each line is checked once, in this order: keyword, token count, const

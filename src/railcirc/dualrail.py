@@ -16,10 +16,11 @@ equal) is well defined but carries no guarantees.
 The rewrite is local: each gate's rail pair and rail gates follow from its
 operands' rails alone, so it runs in one pass over netlist text.
 ``dual_rail_netlist`` checks each line with ``circuit.read_netlist``, the
-scanner ``parse_netlist`` uses, and writes its rail lines at once, keeping
-only the rails of each defined name, never a Circuit.  That pass is the
-only rewrite: ``dual_rail_transform`` and ``rail_map`` run it on a
-circuit's emitted text.
+scanner ``parse_netlist`` uses, and writes its rail lines at once.  It
+keeps only each defined name's zero-rail name (the one-rail differs in
+the last digit) and the text written so far, joined a block of gates at a
+time; never a Circuit.  That pass is the only rewrite: ``dual_rail_transform``
+and ``rail_map`` run it on a circuit's emitted text.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ _DUAL = {AND: OR, OR: AND}
 
 _NON_BIT = re.compile("[^01]")
 _ZERO_RAILS = bytes.maketrans(b"01", b"10")
+# The last digit of a rail name -> the other rail's: w__0 <-> w__1.
+_FLIP = {"0": "1", "1": "0"}
+# Gates per block of rewritten text: the per-gate strings alive at a time.
+_BLOCK = 4096
 
 
 def rail_block(block: str) -> tuple[str, int]:
@@ -78,20 +83,27 @@ def flatten_bits(target: str) -> str:
 
 
 def unflatten_bits(flat: str) -> str:
-    """Decode a flattened string; rejects non-exclusive pairs and odd length."""
+    """Decode a flattened string; rejects non-exclusive pairs and odd length.
+
+    The bits are the one-rails, valid exactly when ``rail_block`` encodes
+    them back into the string.  Otherwise the first bad pair holds the
+    first character where the two differ, or the first non-bit one-rail,
+    where the encoding stops; a binary search on prefixes finds it.
+    """
     if len(flat) % 2:
         raise ValueError(f"flattened string has odd length {len(flat)}")
-    out = []
-    for i in range(0, len(flat), 2):
-        pair = flat[i:i + 2]
-        if pair == "10":
-            out.append("0")
-        elif pair == "01":
-            out.append("1")
+    bits = flat[1::2]
+    rails, bad = rail_block(bits)
+    if bad < 0 and rails == flat:
+        return bits
+    lo, hi = 0, len(rails)  # the first difference, or len(rails), is in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if rails[:mid] == flat[:mid]:
+            lo = mid
         else:
-            raise ValueError(
-                f"rail pair {pair!r} at position {i // 2} is not exclusive")
-    return "".join(out)
+            hi = mid - 1
+    raise ValueError(f"rail pair {flat[lo:lo + 2]!r} at position {lo // 2} is not exclusive")
 
 
 def build_eq_classifier(n: int) -> Circuit:
@@ -132,70 +144,78 @@ def build_eq_classifier(n: int) -> Circuit:
     return Circuit(tuple(gates), (acc,))
 
 
-def _rewrite(lines: Iterable[str]) -> tuple[list[str], dict[str, tuple[str, str]]]:
+def _one_rail(zero: str) -> str:
+    """The other rail of a rail name: its final digit flipped."""
+    return zero[:-1] + _FLIP[zero[-1]]
+
+
+def _rewrite(lines: Iterable[str]) -> tuple[list[str], dict[str, str]]:
     """The rewrite rule, applied to netlist lines in one pass.
 
-    Returns the rail lines, ``output`` lines after them, and the (zero,
-    one) rails of each source wire.  With (z, o) the rails of a wire:
+    Returns the rail text in blocks of ``_BLOCK`` gates, ``output`` lines
+    in the last block, and the zero-rail name of each source wire; the
+    one-rail is the zero-rail with its final digit flipped.  With z and o
+    the rails of a wire:
       input x      ->  input x__0, input x__1
       const k      ->  const pair (1-k, k)
       not a        ->  rail swap, no gates
       and w a b    ->  w__0 = a__0 or  b__0,  w__1 = a__1 and b__1
       or  w a b    ->  w__0 = a__0 and b__0,  w__1 = a__1 or  b__1
       output w     ->  output w's one-rail
-    A NOT gate's rails alias its operand's, swapped, so they are named after
-    another gate.  This is the only place the swap is decided and the
-    reserved separator rejected.
+    A NOT gate's zero-rail is its operand's one-rail, so it is named after
+    another gate.  Each gate's two rail lines are one string, and at most
+    one block of such strings is alive at a time.  This is the only place
+    the swap is decided and the reserved separator rejected.
     """
-    rails: dict[str, tuple[str, str]] = {}
-    out: list[str] = []
+    zeros: dict[str, str] = {}
+    blocks: list[str] = []
+    gates: list[str] = []
     outputs: list[str] = []
-    append = out.append
-    for lineno, kind, name, _, value, operands in read_netlist(lines, rails):
+    append = gates.append
+    for lineno, kind, name, _, value, operands in read_netlist(lines, zeros):
         if kind is OUTPUT:
-            outputs.append("output " + operands[0][1])
+            outputs.append(f"output {_one_rail(operands[0])}\n")
             continue
         if RAIL_SEPARATOR in name:
             raise NetlistError(
                 f"gate name {name!r} contains the reserved rail separator "
                 f"{RAIL_SEPARATOR!r}", lineno)
         if kind is NOT:
-            z, o = operands[0]
-            rails[name] = (o, z)
+            zeros[name] = _one_rail(operands[0])
             continue
-        z = name + "__0"
-        o = name + "__1"
-        rails[name] = (z, o)
+        z = zeros[name] = name + "__0"
         dual = _DUAL.get(kind)
         if dual is not None:
-            (za, oa), (zb, ob) = operands
-            append(f"{dual} {z} {za} {zb}")
-            append(f"{kind} {o} {oa} {ob}")
+            za, zb = operands
+            append(f"{dual} {z} {za} {zb}\n"
+                   f"{kind} {name}__1 {_one_rail(za)} {_one_rail(zb)}\n")
         elif kind is INPUT:
-            append("input " + z)
-            append("input " + o)
+            append(f"input {z}\ninput {name}__1\n")
         else:
-            append(f"const {z} {1 - value}")
-            append(f"const {o} {value}")
-    out += outputs
-    return out, rails
+            append(f"const {z} {1 - value}\nconst {name}__1 {value}\n")
+        if len(gates) == _BLOCK:
+            blocks.append("".join(gates))
+            gates.clear()
+    blocks.append("".join(gates + outputs))
+    return blocks, zeros
 
 
 def dual_rail_netlist(lines: Iterable[str]) -> str:
     """The canonical text of the dual-rail rewrite of netlist lines.
 
     Equal to ``emit_netlist(dual_rail_transform(parse_netlist(text)))`` on
-    every valid netlist, but built line by line without either circuit.  A
-    fault raises NetlistError at the first faulty line in file order, with
-    ``parse_netlist``'s message, and no text is returned.
+    every valid netlist, but built line by line without either circuit,
+    from the zero-rail name of each wire and the text in blocks of gates.
+    A fault raises NetlistError at the first faulty line in file order,
+    with ``parse_netlist``'s message, and no text is returned.
     """
-    out = _rewrite(lines)[0]
-    return "\n".join(out) + "\n" if out else ""
+    return "".join(_rewrite(lines)[0])
 
 
 def rail_map(b: Circuit) -> dict[str, tuple[str, str]]:
     """The (zero, one) rail names carried by each source wire after the transform."""
-    return _rewrite(emit_netlist(b).split("\n"))[1]
+    return {name: (z, _one_rail(z))
+            for name, z in _rewrite(emit_netlist(b).split("\n"))[1].items()}
 
 
 def dual_rail_transform(b: Circuit) -> Circuit:

@@ -9,6 +9,7 @@ import pytest
 from railcirc import (CONST, NOT, RAIL_SEPARATOR, Circuit, Gate, dual_rail_transform,
                       emit_netlist, flatten_bits, parse_netlist, stats)
 from railcirc.cli import main
+from railcirc.dualrail import _BLOCK
 
 from helpers import FIXTURES, messy_netlist, random_circuit
 
@@ -259,10 +260,11 @@ def _chain_netlist(gates: int) -> str:
 
 
 def test_flatten_peak_memory(tmp_path, capsys):
-    """flatten holds the rails of each name and the output text, not two
-    circuits: on 20,000 gates its traced peak is under half the 24.3 MB
-    measured when it went through parse_netlist and dual_rail_transform
-    (Python 3.11; 9.3 MB line by line)."""
+    """flatten holds one zero-rail name per wire and one block of per-gate
+    text, not two circuits: on 20,000 gates its traced peak is under 5.5 MB
+    (Python 3.11: 24.3 MB through parse_netlist and dual_rail_transform,
+    7.4 MB with both rails of each wire and every line kept to the end,
+    4.2 MB now)."""
     src = tmp_path / "chain.net"
     src.write_text(_chain_netlist(20_000))
     tracemalloc.start()
@@ -272,7 +274,83 @@ def test_flatten_peak_memory(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert capsys.readouterr().out.count("\n") == 2 * 16 + 2 * 15_988 + 1
-    assert peak <= 24.3e6 / 2
+    assert peak <= 5.5e6
+
+
+def _block_rows(rng, rail_gates: int, tail_nots: int, early: bool) -> list[list[str]]:
+    """Netlist rows with exactly ``rail_gates`` gates that get rails: four
+    inputs, then AND/OR gates, each fourth followed by a NOT of it, then
+    ``tail_nots`` NOT gates in a chain.  The last gate is an output; with
+    ``early`` the fifth gate is one too, placed right below it."""
+    rows = [["input", f"x{i}"] for i in range(4)]
+    names = [row[1] for row in rows]
+    for j in range(rail_gates - 4):
+        rows.append([rng.choice(("and", "or")), f"g{j}", rng.choice(names[-8:]),
+                     rng.choice(names)])
+        names.append(f"g{j}")
+        if j % 4 == 3:
+            rows.append(["not", f"n{j}", f"g{j}"])
+            names.append(f"n{j}")
+        if early and j == 0:
+            rows.append(["output", "g0"])
+    for k in range(tail_nots):
+        rows.append(["not", f"t{k}", names[-1]])
+        names.append(f"t{k}")
+    rows.append(["output", names[-1]])
+    return rows
+
+
+def _reference_rewrite(rows: list[list[str]]) -> str:
+    """The dual-rail text of netlist rows, rule by rule, keeping both rails."""
+    rails, lines, outputs = {}, [], []
+    for op, name, *args in rows:
+        if op == "output":
+            outputs.append(f"output {rails[name][1]}")
+        elif op == "not":
+            z, o = rails[args[0]]
+            rails[name] = (o, z)
+        else:
+            z, o = rails[name] = (f"{name}__0", f"{name}__1")
+            if op == "input":
+                lines += [f"input {z}", f"input {o}"]
+            else:
+                (za, oa), (zb, ob) = rails[args[0]], rails[args[1]]
+                dual = "or" if op == "and" else "and"
+                lines += [f"{dual} {z} {za} {zb}", f"{op} {o} {oa} {ob}"]
+    return "".join(line + "\n" for line in lines + outputs)
+
+
+@pytest.mark.parametrize("rail_gates, tail_nots, early", [
+    (_BLOCK - 1, 0, False), (_BLOCK, 0, True), (_BLOCK + 1, 0, False),
+    (2 * _BLOCK, 0, True), (2 * _BLOCK, 0, False), (_BLOCK, 5, True),
+], ids=["one-below", "at", "one-above", "two-blocks-early", "two-blocks",
+        "not-tail-after-a-block"])
+def test_flatten_across_block_edges(tmp_path, capsys, rail_gates, tail_nots, early):
+    """No line is lost or doubled and none is blank where the rewrite's
+    text is joined from one block of gates to the next."""
+    rows = _block_rows(random.Random(rail_gates + tail_nots), rail_gates, tail_nots, early)
+    text = "".join(" ".join(row) + "\n" for row in rows)
+    src = tmp_path / "blocks.net"
+    src.write_text(text)
+    assert main(["flatten", str(src)]) == 0
+    out = capsys.readouterr().out
+    assert out == _reference_rewrite(rows)
+    assert out == emit_netlist(dual_rail_transform(parse_netlist(text)))
+    assert out.count("\n") == 2 * rail_gates + 1 + early and "\n\n" not in out
+
+
+def test_flatten_fault_on_the_last_line_of_many_blocks(tmp_path, capsys):
+    """A fault below two full blocks of rewritten text still leaves stdout
+    empty and names its line."""
+    rows = _block_rows(random.Random(1), 2 * _BLOCK + 1, 0, True)[:-1]
+    text = "".join(" ".join(row) + "\n" for row in rows) + "and z x0 ghost\n"
+    src = tmp_path / "late.net"
+    src.write_text(text)
+    assert main(["flatten", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: line {len(rows) + 1}: "
+                            "undefined reference 'ghost' in gate 'z'\n")
 
 
 def test_missing_file_is_a_usage_error(capsys):

@@ -59,6 +59,42 @@ def test_unflatten_rejects_bad_pairs():
         unflatten_bits("00")
 
 
+def test_unflatten_names_the_first_bad_pair_of_random_strings():
+    """Every short string over a mixed alphabet gets the pair-by-pair verdict."""
+    rng = random.Random(79)
+    for _ in range(2000):
+        flat = "".join(rng.choice("0101x\u00e9") for _ in range(2 * rng.randint(1, 12)))
+        pairs = [flat[i:i + 2] for i in range(0, len(flat), 2)]
+        bad = next((i for i, p in enumerate(pairs) if p not in ("01", "10")), None)
+        if bad is None:
+            assert unflatten_bits(flat) == "".join(p[1] for p in pairs)
+            continue
+        with pytest.raises(ValueError) as err:
+            unflatten_bits(flat)
+        assert str(err.value) == (f"rail pair {pairs[bad]!r} at position {bad} "
+                                  "is not exclusive")
+
+
+def test_unflatten_long_round_trip():
+    rng = random.Random(77)
+    for n in (1 << 20, (1 << 18) + 3):
+        bits = format(rng.getrandbits(n), f"0{n}b")
+        assert unflatten_bits(flatten_bits(bits)) == bits
+
+
+@pytest.mark.parametrize("bad", ["11", "00", "1x", "\u00e90", " 1"])
+def test_unflatten_names_a_bad_pair_deep_in_a_long_string(bad):
+    """The first non-exclusive pair is named, whatever follows it."""
+    rng = random.Random(78)
+    n = 1 << 18
+    flat = flatten_bits(format(rng.getrandbits(n), f"0{n}b"))
+    at = n - 1000
+    broken = flat[:2 * at] + bad + flat[2 * at + 2:2 * n - 2] + "00"
+    with pytest.raises(ValueError, match=rf"^rail pair {bad!r} at position {at} "
+                                         r"is not exclusive$"):
+        unflatten_bits(broken)
+
+
 def test_eq_classifier_one_pair_exact_netlist():
     assert emit_netlist(build_eq_classifier(1)) == EQ1_EXPECTED
 
