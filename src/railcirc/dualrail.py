@@ -238,8 +238,10 @@ def validate_rail_complement(b: Circuit, m: Circuit) -> CounterexampleReport | N
     if n > 12:
         raise ValueError("rail validation sweeps all assignments; max 12 inputs")
     full = full_mask(n)
-    vals = evaluate_masks(m, rail_masks(input_masks(n), full), full)
-    for z, o in rail_map(b).values():
+    pairs = rail_map(b).values()
+    vals = evaluate_masks(m, rail_masks(input_masks(n), full), full,
+                          wires=[w for pair in pairs for w in pair])
+    for z, o in pairs:
         mismatch = vals[z] ^ (full ^ vals[o])
         if mismatch:
             i = lowest_set_bit(mismatch)

@@ -17,16 +17,8 @@ bit.  The flattened variant replaces each input with a rail pair
 uses the complement; everything past the input layer is identical, so the
 flattened circuit is NOT-free.
 
-After r steps the head is at column r or less.  So a cell (r, c) with
-c > r, outside the light cone, still holds its row-0 symbol, and each of its
-wires is built as a copy of row 0: a const where row 0 has a const, else one
-OR buffer of the row-0 wire (never of row r-1, which would add a level per
-row).  On every raw input and every complementary rail assignment this
-equals simulating the cell; a rail pair of two equal bits is outside the
-flattened circuit's domain.
-
-Each cell of the cone, c <= r, is built from two kinds of indicator over
-its window in the previous row.  ``keep`` is 1 when the cell keeps its
+Each cell of rows 1..t is built by one rule from two kinds of indicator
+over its window in the previous row.  ``keep`` is 1 when the cell keeps its
 symbol: no head nearby (``nh_``, the AND of the neighbors' ``sym_``
 indicators), or a head on a neighbor that does not move onto the cell.
 ``arrive_q``, one per state q, is 1 when a neighbor's head moves onto the
@@ -42,17 +34,25 @@ every wire that would need the head where it is on no input.  Before any
 gate is built, a tag pass gives each grid wire a tag, const 0, const 1 or
 input-dependent, one row at a time from the tags of each cell's window, by
 one rule: an OR drops const-0 operands and is const 1 on a const-1 operand,
-and an AND is const 0 on a const-0 operand and its other operand on a
-const-1 one.  A window's tags fix how its cell folds, so that is worked out
-once per distinct window, and the pass counts the gates exactly, so the
-gate cap is checked first.  The build then follows the tags.  A ``c_r_c_k``
-wire that folds to a constant is a const gate; one that folds to a single
-other wire is an OR buffer of it, and its readers read that wire itself,
-so a row that only carries wires forward adds no level.  An internal wire
-that folds, or that no built gate reads, is not built, and no AND or OR
-reads a const.  The depth then grows with the rows in which the head's
-moves depend on the input: parity at n=6 has depth 16 at both t=24 and
-t=64.
+an AND is const 0 on a const-0 operand and its other operand on a const-1
+one, and, as cells are one-hot, a neighbor whose head pairs are all const 0
+holds a plain symbol, so its ``sym_`` is const 1.  A window's tags fix how
+its cell folds, so that is worked out once per distinct window, and the
+pass counts the gates exactly, so the gate cap is checked first.  The
+build then follows the tags.  A ``c_r_c_k`` wire that folds to a constant
+is a const gate; one that folds to a single other wire is an OR buffer of
+it, and its readers read that wire itself, so a row that only carries
+wires forward adds no level.  An internal wire that folds, or that no
+built gate reads, is not built, and no AND or OR reads a const.
+
+After r steps the head is at column r or less, so a cell the head never
+reaches, such as (r, c) with c > r, folds to a copy of row 0: a const where
+row 0 has a const, else a buffer whose readers read the row-0 wire.  On
+every raw input and every complementary rail assignment this equals
+simulating the cell; a rail pair of two equal bits is outside the
+flattened circuit's domain.  The logic a row adds then stays the same as t
+grows, and the depth grows with the rows in which the head's moves depend
+on the input: parity at n=6 has depth 16 at both t=24 and t=64.
 
 Wire naming contract: the one-hot wire for symbol index k of cell (r, c) is
 ``c_{r}_{c}_{k}``, with k indexing ``cell_alphabet(tm)``.  These names are
@@ -83,8 +83,8 @@ DEFAULT_GATE_CAP = 10_000_000
 #   2P - S*A    one-hot ORs over the P head-on-cell wires, plus a const or
 #               buffer per unguarded head-pair target
 # = 2S + 4P - A <= 4 * len(alphabet) - 2S, and folding only removes gates.
-# Row 0 and the copies outside the light cone take len(alphabet) gates per
-# cell; the inputs and the accept OR fit in the rest of row 0's share.
+# Row 0 takes len(alphabet) gates per cell; the inputs and the accept OR fit
+# in the rest of row 0's share.
 # Measured peak over the fixtures and 330 generated machines with up to 8
 # working states: 1.47 (2.17 unfolded); over the fixtures alone 1.25
 # (contains_one, n=8, t=7).
@@ -232,9 +232,10 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
     tmp = t0 + na
 
     def fold(wall: bool, win: bytes) -> _Cell:
-        """Fold the cell by the rule of _or_leaves and _and_value.  What
-        folds to a single wire is that wire; an internal wire that no built
-        gate reads is not built."""
+        """Fold the cell by the rule of _or_leaves and _and_value, and by
+        one-hotness: a neighbor whose head pairs are all const 0 holds a
+        plain symbol.  What folds to a single wire is that wire; an
+        internal wire that no built gate reads is not built."""
         val = [(_ZERO, _ONE, slot)[tag] for slot, tag in enumerate(win)]
         val += [_ZERO] * (3 + len(guards))
         trees: dict[int, list[int]] = {}
@@ -249,8 +250,11 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
             else:
                 val[slot] = leaves[0] if leaves else _ZERO
 
-        or_fold(sym_l, range(n_sym))
-        or_fold(sym_r, range(right, right + n_sym))
+        for slot, base in ((sym_l, 0), (sym_r, right)):
+            if any(win[base + n_sym:base + na]):
+                or_fold(slot, range(base, base + n_sym))
+            else:
+                val[slot] = _ONE
         a, b = val[sym_l], val[sym_r]
         v = _and_value(a, b)
         val[nh] = nh if v is None else v
@@ -297,9 +301,9 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
         return _Cell(bytes(tags), cost, (sym_l in used, sym_r in used),
                      tuple(ops))
 
-    # Beyond either end of the grid: a plain symbol and no head, so the grid
-    # edges count as symbols and send no head in.
-    edge = bytes([1] + [0] * (na - 1))
+    # Beyond either end of the grid: no head, so the grid edges count as
+    # symbols and send no head in.
+    edge = bytes(na)
     shapes: dict[tuple[bool, bytes], _Cell] = {}
 
     def shape(prev: bytes, c: int) -> _Cell:
@@ -338,23 +342,21 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
         row0 += [rails.get(e, int(c >= n and e == blank)) for e in cells]
 
     # Tag pass: the tags of every row, and the exact gate count, before any
-    # gate is built.  After r steps the head is at column r or less, so a
-    # cell (r, c) with c > r, outside the light cone, is a copy of row 0;
-    # the cells of the cone fold by their windows.  The count: one gate per
-    # input, input NOT, row-0 wire and copy, each cone cell's fold, the sym_
-    # trees the cells read, and the accept tree.
+    # gate is built.  Every cell of rows 1..t folds by its window.  The
+    # count: one gate per input, input NOT and row-0 wire, each cell's
+    # fold, the sym_ trees the cells read, and the accept tree.
     rows = [bytes(_X if type(v) is str else v for v in row0)]
-    cones = []  # per row 1..t: its cone's cells and the sym_ columns they read
+    folds = []  # per row 1..t: its cells and the sym_ columns they read
     total = 2 * n + cols * na
     for r in range(1, t + 1):
         prev = rows[-1]
-        cone = [shape(prev, c) for c in range(r + 1)]
-        read = sorted({c + d for c, cell in enumerate(cone)
+        row = [shape(prev, c) for c in range(cols)]
+        read = sorted({c + d for c, cell in enumerate(row)
                        for d, reads in zip((-1, 1), cell.sym) if reads})
-        total += (sum(cell.cost for cell in cone) + (t - r) * na
+        total += (sum(cell.cost for cell in row)
                   + sum(prev[c * na:c * na + n_sym].count(_X) - 1 for c in read))
-        rows.append(b"".join([cell.tags for cell in cone]) + rows[0][(r + 1) * na:])
-        cones.append((cone, read))
+        rows.append(b"".join([cell.tags for cell in row]))
+        folds.append((row, read))
     last = rows[-1]
     accept = _or_leaves([(_ZERO, _ONE, s)[last[s]] for s in
                          (c * na + index[(tm.accept, s)] for c in range(cols)
@@ -391,8 +393,9 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
     # wires[c][k]: the (depth, name) a reader of wire k of previous-row cell
     # c reads, None for a const.  A wire that folds to one other wire is a
     # buffer of it for the naming contract, and its readers read the other
-    # wire, as the copies' readers read row 0.  Depths count from row 0, so
-    # that the raw and the flattened compile shape their trees alike.
+    # wire, so a cell the head never reaches reads row 0.  Depths count from
+    # row 0, so that the raw and the flattened compile shape their trees
+    # alike.
     wires: list[list] = []
     for c in range(cols):
         names = [f"c_0_{c}_{k}" for k in range(na)]
@@ -400,17 +403,16 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
             gates.append(Gate(name, OR, (v, v)) if type(v) is str
                          else Gate(name, CONST, value=v))
         wires.append([(0, name) for name in names])
-    row0_wires = wires
 
     beyond = [None] * na  # the wires of a cell beyond the grid: never read
-    for r, (cone, read) in enumerate(cones, 1):
+    for r, (row, read) in enumerate(folds, 1):
         pr = r - 1
         sym = {c: or_tree([wires[c][k] for k in range(n_sym)
                            if rows[pr][c * na + k] == _X], f"sym_{pr}_{c}")
                for c in read}
 
         row_wires = []
-        for c, cell in enumerate(cone):
+        for c, cell in enumerate(row):
             w = ((wires[c - 1] if c else beyond) + wires[c]
                  + (wires[c + 1] if c < t else beyond)
                  + [sym.get(c - 1), sym.get(c + 1)] + [None] * (tmp + 1 - nh))
@@ -431,17 +433,6 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
                 else:
                     w[slot] = or_tree([w[s] for s in args], name)
             row_wires.append(w[t0:tmp])
-
-        for c in range(r + 1, cols):
-            for k in range(na):
-                v = row0[c * na + k]
-                name = f"c_{r}_{c}_{k}"
-                if type(v) is str:
-                    src = f"c_0_{c}_{k}"
-                    gates.append(Gate(name, OR, (src, src)))
-                else:
-                    gates.append(Gate(name, CONST, value=v))
-            row_wires.append(row0_wires[c])
         wires = row_wires
 
     if accept:

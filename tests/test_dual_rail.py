@@ -206,6 +206,15 @@ def test_rail_complement_detects_broken_pairing():
         "kind=RAIL witness=0110 expected=1 observed=0 detail=g__0")
 
 
+def test_rail_complement_names_a_missing_rail():
+    # m has four inputs, as b's rails need, but none of b's rail wires
+    b = parse_netlist("input a\ninput b\nand c a b\noutput c\n")
+    m = parse_netlist("input x__0\ninput x__1\ninput y__0\ninput y__1\n"
+                      "and g__1 x__1 y__1\noutput g__1\n")
+    with pytest.raises(ValueError, match="circuit defines no wire 'a__0'"):
+        validate_rail_complement(b, m)
+
+
 EQ_NOT_FLAT = """\
 input x__0
 input x__1

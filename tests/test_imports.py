@@ -58,8 +58,10 @@ def definitions(tree) -> dict[str, int]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                if isinstance(target, ast.Name):
-                    found[target.id] = node.lineno
+                for name in (target.elts if isinstance(target, ast.Tuple)
+                             else [target]):
+                    if isinstance(name, ast.Name):
+                        found[name.id] = node.lineno
     return found
 
 
@@ -93,12 +95,13 @@ def unread_definitions(modules: dict[str, str], exports: str,
 def test_checker_finds_an_unread_definition():
     modules = {
         "a.py": "LIMIT = 3\n_SPARE = 4\nBOUND = 5\ndef used():\n    return LIMIT\n"
-                "def orphan():\n    return used()\nclass Kept:\n    pass\n",
+                "def orphan():\n    return used()\nclass Kept:\n    pass\n"
+                "X, Y = 1, 2\nprint(X)\n",
         "b.py": "from .a import Kept\nprint(Kept)\n",
     }
     readers = ("from a import BOUND\nassert BOUND\n",)
     assert unread_definitions(modules, "from .a import used\n", readers) == [
-        "a.py line 2: _SPARE", "a.py line 6: orphan"]
+        "a.py line 2: _SPARE", "a.py line 6: orphan", "a.py line 10: Y"]
 
 
 def test_every_definition_is_exported_or_read():

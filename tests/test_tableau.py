@@ -268,15 +268,17 @@ def test_gate_cap_is_exact(flattened):
 
 
 def test_gate_cap_rejects_before_building():
-    # 748,904 gates, counted by the tag pass before row 0 is built.  The
+    # 728,031 gates, counted by the tag pass before row 0 is built.  The
     # cap is the 727,218 wires of the grid alone: the largest cap the grid
-    # check admits and below any exact count, so a changed count fails the
+    # check admits and below the exact count, so a changed count fails the
     # match at once instead of building the circuit
     tm = parse_tm(fixture_text("parity.tm"))
+    exact, cap = 728_031, 201 * 201 * len(cell_alphabet(tm))
+    assert cap == 727_218 < exact
     tracemalloc.start()
     try:
-        with pytest.raises(GateCapError, match="^748904 gates exceed"):
-            compile_tm(tm, 6, 200, gate_cap=727_218)
+        with pytest.raises(GateCapError, match=f"^{exact} gates exceed"):
+            compile_tm(tm, 6, 200, gate_cap=cap)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -300,14 +302,15 @@ def test_size_bound_and_growth():
 
 
 def test_factored_compile_is_small_and_shallow():
-    # keep/arrive factoring, row-0 copies outside the light cone, OR trees
-    # that merge their two shallowest operands first and the fold of the
-    # input-independent wires give 11,728 gates of depth 16 (15 flattened)
-    # at t=24 and 78,628 of depth 16 (15) at t=64.  Without the fold they
-    # were 23,848 / 147 and 164,668 / 388; building every cell, with
-    # balanced trees in leaf order, took 36,344 gates of depth 264 at t=24
+    # keep/arrive factoring, OR trees that merge their two shallowest
+    # operands first and the fold of the input-independent wires, which
+    # knows that a cell with no head holds a plain symbol, give 11,359
+    # gates of depth 16 (15 flattened) at t=24 and 76,319 of depth 16 (15)
+    # at t=64.  Without the fold they were 23,848 / 147 and 164,668 / 388;
+    # building every cell, with balanced trees in leaf order, took 36,344
+    # gates of depth 264 at t=24
     tm = parse_tm(fixture_text("parity.tm"))
-    for t, most, deepest in ((24, 11_800, 16), (64, 79_000, 16)):
+    for t, most, deepest in ((24, 11_400, 16), (64, 76_400, 16)):
         for compile_ in (compile_tm, compile_tm_flattened):
             s = stats(compile_(tm, 6, t))
             assert s.total_gates <= most, (t, compile_.__name__)
@@ -325,6 +328,22 @@ def test_depth_per_row():
     assert depth[64] == depth[32] <= 5, depth
     wide = {t: stats(compile_tm(tm, t - 1, t)).depth for t in (32, 64)}
     assert wide[64] - wide[32] <= 32, wide
+
+
+@pytest.mark.parametrize("name, n, per_row", [("parity.tm", 6, 9),
+                                              ("contains_one.tm", 2, 17)])
+def test_logic_per_row_stops_growing(name, n, per_row):
+    # A cell the head never reaches folds to consts and buffers, so a row
+    # adds the same AND/OR logic at every budget; were the input-dependent
+    # tag to spread right through the blanks, the added logic would grow
+    # with t.
+    tm = parse_tm(fixture_text(name))
+
+    def logic(t):
+        return sum(g.op == AND or g.op == OR and g.args[0] != g.args[1]
+                   for g in compile_tm(tm, n, t).gates)
+
+    assert [logic(t + 1) - logic(t) for t in (16, 32, 64)] == [per_row] * 3
 
 
 def _assert_folded(c, where):
@@ -366,17 +385,17 @@ def test_fold_is_complete_on_generated_machines():
 # (fixture, n, t)
 NETLIST_DIGESTS = {
     ("contains_one.tm", 6, 24): (
-        "aa288ee8360029dbcef5d320857214f80ddcf74dabc963558ea52af0e5e97553",
-        "dbd314184ebc618eefb114f38e9afdeb9e1c493feb555a1488b0875ee48285b7"),
+        "16fe93d87b37c50a6ceb05f0c0ea64bdc44c2cf9c6fc04ea578808560ca243d7",
+        "7f3e813ecdc29f68a1b316de1cedeb5fd832268e59d742de1ab0c1103c41f8bb"),
     ("contains_one.tm", 2, 8): (
-        "b3b25bae00d09f8bf2ff2f2f78c6909119f5129b75bda28c9619e2074d6ecb7d",
-        "7b983b9a6d80c180da41270e7d06e28b277b86f9536b29dec0b88b473f4fb270"),
+        "ad79d26085d9e10e157500f67a39705645b68d39f057989c5aff57df77a22f87",
+        "6b3caa13d042df519a8824e6b13476e00057a34af1ac3c29b3bd0ba7277335f0"),
     ("parity.tm", 6, 24): (
-        "6c356365e1ad8dea052b816f7760ba53a7445407cbd10f73d057925cf4e1951f",
-        "43be78d12ae2f0b15f50530bbee34afcf27c06d27691adf1f98538492604513f"),
+        "85c13c521aab8aa843bcff721136d635c1d6315d79ab220836b08d1134bdfdd8",
+        "19a2b6e20134f5d50c19f6423adbc02619b7ae8c7198c8f9e28a3f25b3ee9e3b"),
     ("parity.tm", 2, 8): (
-        "ea543cd5fe508839dac93f550ab066364f1a2beb71300d9613fe24d81db7f660",
-        "f444c2900e2627eb45caf0a8b7bc4d9443605c4c60ad28d0d0b946b03f894502"),
+        "c8667d4cf9b6b6f54570737e1e6a88681b5c58e28b9044bce982abb1fb14d3e5",
+        "b30bc0b67bbe8e800918a72b05871000f6a0a84619ea4a6486fa071157ab62a9"),
 }
 
 
