@@ -12,9 +12,9 @@ import argparse
 import functools
 import sys
 
-from .circuit import NetlistError, emit_dot, emit_netlist, parse_netlist, stats
+from .circuit import NetlistError, emit_dot, parse_netlist, stats
 from .dualrail import dual_rail_netlist, flatten_bits
-from .tableau import DEFAULT_GATE_CAP, compile_tm, compile_tm_flattened
+from .tableau import DEFAULT_GATE_CAP, compile_netlist
 from .tm import TMError, parse_tm
 from .transducer import stream_flatten
 from .verify import (FLATTENED, RAW, check_semantic_monotone,
@@ -37,9 +37,8 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_compile_tm(args) -> int:
     tm = parse_tm(_read(args.machine))
-    build = compile_tm_flattened if args.flattened else compile_tm
-    circuit = build(tm, args.n, args.t, gate_cap=args.gate_cap)
-    _write_out(emit_netlist(circuit), args.out)
+    _write_out(compile_netlist(tm, args.n, args.t, args.flattened, args.gate_cap),
+               args.out)
     return 0
 
 

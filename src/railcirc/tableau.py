@@ -54,6 +54,13 @@ flattened circuit's domain.  The logic a row adds then stays the same as t
 grows, and the depth grows with the rows in which the head's moves depend
 on the input: parity at n=6 has depth 16 at both t=24 and t=64.
 
+The compile builds no Gate and no Circuit: ``compile_netlist`` writes each
+gate as its canonical netlist line, the text ``emit_netlist`` would write,
+and refuses a name defined twice or an operand read before its definition
+as the line is written.  ``railcirc compile-tm`` writes that text as it is;
+``compile_tm`` and ``compile_tm_flattened`` parse it with ``parse_netlist``,
+the one netlist scanner, so the library reads the bytes the CLI writes.
+
 Wire naming contract: the one-hot wire for symbol index k of cell (r, c) is
 ``c_{r}_{c}_{k}``, with k indexing ``cell_alphabet(tm)``.  These names are
 stable and safe to decode; all other internal names (the sym, nh, keep and
@@ -63,11 +70,11 @@ arrive guards and the OR-tree nodes among them) are unspecified.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heapreplace
-from itertools import product
+from itertools import groupby, product
 from typing import NamedTuple, Union
 
 from .bitsim import wire_values
-from .circuit import AND, CONST, INPUT, NOT, OR, Circuit, Gate
+from .circuit import AND, CONST, OR, Circuit, NetlistError, parse_netlist
 from .tm import BLANK, LEFT, RIGHT, TuringMachine
 
 CellSymbol = Union[str, tuple[str, str]]
@@ -113,13 +120,13 @@ def _check_dims(n: int, t: int) -> None:
 def compile_tm(tm: TuringMachine, n: int, t: int,
                gate_cap: int = DEFAULT_GATE_CAP) -> Circuit:
     """Circuit over n raw input bits deciding acceptance within t steps."""
-    return _build(tm, n, t, flattened=False, gate_cap=gate_cap)
+    return parse_netlist(compile_netlist(tm, n, t, False, gate_cap))
 
 
 def compile_tm_flattened(tm: TuringMachine, n: int, t: int,
                          gate_cap: int = DEFAULT_GATE_CAP) -> Circuit:
     """NOT-free variant over 2n rail inputs x0__0, x0__1, x1__0, ..."""
-    return _build(tm, n, t, flattened=True, gate_cap=gate_cap)
+    return parse_netlist(compile_netlist(tm, n, t, True, gate_cap))
 
 
 # The tag of a grid wire is 0 or 1 for a const, else _X: its value depends
@@ -153,7 +160,9 @@ class _Cell(NamedTuple):
     aside.  sym: whether it reads its left and its right neighbor's sym_
     tree.  ops: (slot, label, op, operand slots) per gate or OR tree it
     builds, in order.  Label k names wire c_r_c_k, a prefix names
-    prefix_{r-1}_c, and None an OR-tree node; a const's operand is its value.
+    prefix_{r-1}_c, and None an OR-tree node.  A run of consts, of
+    distinct wires, is one op (None, None, CONST, their netlist lines),
+    with @ for the cell's c_r_c_ prefix.
     """
 
     tags: bytes
@@ -162,8 +171,11 @@ class _Cell(NamedTuple):
     ops: tuple[tuple, ...]
 
 
-def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
-           gate_cap: int) -> Circuit:
+def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
+                    gate_cap: int) -> str:
+    """The netlist text of ``compile_tm`` (``compile_tm_flattened`` when
+    flattened), as ``emit_netlist`` writes it; raises GateCapError before
+    any line is written if the circuit would exceed gate_cap gates."""
     _check_dims(n, t)
     cells = cell_alphabet(tm)
     index = {entry: k for k, entry in enumerate(cells)}
@@ -298,8 +310,14 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
         # an OR of one leaf is a buffer
         cost = sum(max(len(args) - 1, 1) if op == OR else 1
                    for _, _, op, args in ops)
+        blocks = []
+        for const, run in groupby(ops, lambda op: op[2] == CONST):
+            if const:
+                run = [(None, None, CONST, "\n".join(f"const @{k} {v}"
+                                                     for _, k, _, v in run))]
+            blocks += run
         return _Cell(bytes(tags), cost, (sym_l in used, sym_r in used),
-                     tuple(ops))
+                     tuple(blocks))
 
     # Beyond either end of the grid: no head, so the grid edges count as
     # symbols and send no head in.
@@ -323,12 +341,12 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
     if flattened:
         zero_rail = [f"x{i}__0" for i in range(n)]
         one_rail = [f"x{i}__1" for i in range(n)]
-        inputs = [Gate(x, INPUT) for pair in zip(zero_rail, one_rail) for x in pair]
+        inputs = [f"input {x}" for pair in zip(zero_rail, one_rail) for x in pair]
     else:
         zero_rail = [f"x{i}_not" for i in range(n)]
         one_rail = [f"x{i}" for i in range(n)]
-        inputs = ([Gate(x, INPUT) for x in one_rail]
-                  + [Gate(x_not, NOT, (x,)) for x_not, x in zip(zero_rail, one_rail)])
+        inputs = ([f"input {x}" for x in one_rail]
+                  + [f"not {x_not} {x}" for x_not, x in zip(zero_rail, one_rail)])
 
     # Row 0: the input bits, then blanks, with the head in the start state
     # on cell 0, whose entries are (start, symbol).  The entries for 0 and 1
@@ -365,7 +383,20 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
     if total > gate_cap:
         raise GateCapError(f"{total} gates exceed the cap of {gate_cap}")
 
-    gates: list[Gate] = inputs
+    # Each gate is written as its canonical netlist line.  The kinds, arities
+    # and name shapes are this builder's literals; what a Circuit would still
+    # catch, a name defined twice or an operand read before its definition,
+    # is refused as the line is written.  The input names are distinct.
+    lines = inputs
+    defined = {*zero_rail, *one_rail}
+
+    def define(name: str, *operands: str) -> str:
+        if name in defined or not defined.issuperset(operands):
+            raise NetlistError(f"gate {name!r} is defined twice or reads a "
+                               f"wire not defined above")
+        defined.add(name)
+        return name
+
     aux = 0
 
     def or_tree(leaves: list[tuple[int, str]], name: str) -> tuple[int, str]:
@@ -375,7 +406,7 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
         nonlocal aux
         if len(leaves) == 1:
             a = leaves[0][1]
-            gates.append(Gate(name, OR, (a, a)))
+            lines.append(f"or {define(name, a)} {a} {a}")
             return leaves[0]
         if len(leaves) > 2:
             heapify(leaves)
@@ -384,10 +415,10 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
                 d, b = leaves[0]
                 node = f"t{aux}"
                 aux += 1
-                gates.append(Gate(node, OR, (a, b)))
+                lines.append(f"or {define(node, a, b)} {a} {b}")
                 heapreplace(leaves, (d + 1, node))
         (d, a), (e, b) = leaves
-        gates.append(Gate(name, OR, (a, b)))
+        lines.append(f"or {define(name, a, b)} {a} {b}")
         return max(d, e) + 1, name
 
     # wires[c][k]: the (depth, name) a reader of wire k of previous-row cell
@@ -400,8 +431,8 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
     for c in range(cols):
         names = [f"c_0_{c}_{k}" for k in range(na)]
         for name, v in zip(names, row0[c * na:(c + 1) * na]):
-            gates.append(Gate(name, OR, (v, v)) if type(v) is str
-                         else Gate(name, CONST, value=v))
+            lines.append(f"or {define(name, v)} {v} {v}" if type(v) is str
+                         else f"const {define(name)} {v}")
         wires.append([(0, name) for name in names])
 
     beyond = [None] * na  # the wires of a cell beyond the grid: never read
@@ -416,19 +447,26 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
             w = ((wires[c - 1] if c else beyond) + wires[c]
                  + (wires[c + 1] if c < t else beyond)
                  + [sym.get(c - 1), sym.get(c + 1)] + [None] * (tmp + 1 - nh))
+            cell_prefix = f"c_{r}_{c}_"
             for slot, label, op, args in cell.ops:
+                if op == CONST:  # a run of lines "const NAME VALUE"
+                    text = args.replace("@", cell_prefix)
+                    names = text.split()[1::3]
+                    if not defined.isdisjoint(names):
+                        raise NetlistError(f"a name of {names} is defined twice")
+                    defined.update(names)
+                    lines.append(text)
+                    continue
                 if type(label) is int:
-                    name = f"c_{r}_{c}_{label}"
+                    name = f"{cell_prefix}{label}"
                 elif label:
                     name = f"{label}_{pr}_{c}"
                 else:
                     name = f"t{aux}"
                     aux += 1
-                if op == CONST:
-                    gates.append(Gate(name, CONST, value=args))
-                elif op == AND:
+                if op == AND:
                     (da, a), (db, b) = w[args[0]], w[args[1]]
-                    gates.append(Gate(name, AND, (a, b)))
+                    lines.append(f"and {define(name, a, b)} {a} {b}")
                     w[slot] = (max(da, db) + 1, name)
                 else:
                     w[slot] = or_tree([w[s] for s in args], name)
@@ -438,8 +476,9 @@ def _build(tm: TuringMachine, n: int, t: int, flattened: bool,
     if accept:
         or_tree([wires[s // na][s % na] for s in accept], "accepted")
     else:
-        gates.append(Gate("accepted", CONST, value=int(accept is None)))
-    return Circuit(tuple(gates), ("accepted",))
+        lines.append(f"const {define('accepted')} {int(accept is None)}")
+    lines.append("output accepted\n")
+    return "\n".join(lines)
 
 
 def config_cells(tm: TuringMachine, conf, cols: int) -> list[CellSymbol]:

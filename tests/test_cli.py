@@ -6,12 +6,13 @@ import tracemalloc
 
 import pytest
 
-from railcirc import (CONST, NOT, RAIL_SEPARATOR, Circuit, Gate, dual_rail_transform,
-                      emit_netlist, flatten_bits, parse_netlist, stats)
+from railcirc import (CONST, NOT, RAIL_SEPARATOR, Circuit, Gate, compile_tm,
+                      compile_tm_flattened, dual_rail_transform, emit_netlist,
+                      flatten_bits, parse_netlist, parse_tm, stats)
 from railcirc.cli import main
 from railcirc.dualrail import _BLOCK
 
-from helpers import FIXTURES, messy_netlist, random_circuit
+from helpers import FIXTURES, fixture_text, messy_netlist, random_circuit
 
 CONTAINS_ONE = str(FIXTURES / "contains_one.tm")
 EQ_NOT = str(FIXTURES / "eq_not.net")
@@ -58,6 +59,29 @@ def test_compile_tm_gate_cap(capsys):
     assert main(["--gate-cap", "50", "compile-tm", CONTAINS_ONE,
                  "-n", "2", "-t", "4"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flattened", [False, True], ids=["raw", "flattened"])
+def test_compile_tm_gate_cap_is_exact(tmp_path, capsys, flattened):
+    # at the exact count compile-tm writes that many gate lines; one below
+    # it exits 2 before writing anything, and an existing --out file stays
+    argv = ["compile-tm", CONTAINS_ONE, "-n", "3", "-t", "6"]
+    argv += ["--flattened"] if flattened else []
+    build = compile_tm_flattened if flattened else compile_tm
+    exact = len(build(parse_tm(fixture_text("contains_one.tm")), 3, 6).gates)
+    out = tmp_path / "m.net"
+    assert main(["--gate-cap", str(exact), *argv]) == 0
+    text = capsys.readouterr().out
+    assert sum(not line.startswith("output ") for line in text.splitlines()) == exact
+    assert main(["--gate-cap", str(exact), *argv, "--out", str(out)]) == 0
+    assert out.read_text() == text
+    out.write_bytes(b"kept\r\n")
+    for dest in ([], ["--out", str(out)]):
+        assert main(["--gate-cap", str(exact - 1), *argv, *dest]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {exact} gates exceed")
+    assert out.read_bytes() == b"kept\r\n"
 
 
 def test_stats_line(capsys):

@@ -13,9 +13,10 @@ from railcirc import (ACCEPT, AND, BLANK, CONST, FLATTENED, INPUT, NOT, OR,
                       evaluate, exhaustive_equiv, initial_configuration,
                       parse_tm, run, stats, step, tableau_trace, wire_values)
 from railcirc.bitsim import evaluate_masks, full_mask, input_masks
+from railcirc.cli import main
 from railcirc.tableau import SIZE_COEFF
 
-from helpers import fixture_text, one_hot_report
+from helpers import FIXTURES, fixture_text, one_hot_report
 
 
 def _machines():
@@ -164,6 +165,11 @@ def test_one_hot_on_every_boolean_input():
 
 def _random_machine(rng):
     """A machine with 1-3 working states and a random total transition table."""
+    return parse_tm(_random_machine_text(rng))
+
+
+def _random_machine_text(rng):
+    """The description file of ``_random_machine(rng)``."""
     work = [f"q{i}" for i in range(rng.randint(1, 3))]
     states = work + ["qa", "qr"]
     alphabet = ["0", "1", BLANK] + ["y"] * rng.randint(0, 1)
@@ -173,7 +179,7 @@ def _random_machine(rng):
         for s in alphabet:
             lines.append(f"delta: {q} {s} -> {rng.choice(states)} "
                          f"{rng.choice(alphabet)} {rng.choice('LR')}")
-    return parse_tm("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def test_invariants_on_generated_machines():
@@ -411,3 +417,36 @@ def test_netlists_match_recorded_digests():
         got = tuple(hashlib.sha256(emit_netlist(compile_(tm, n, t)).encode())
                     .hexdigest() for compile_ in (compile_tm, compile_tm_flattened))
         assert got == digests, (name, n, t)
+
+
+def test_cli_writes_the_recorded_bytes(tmp_path, capsys):
+    """railcirc compile-tm writes its own text, not emit_netlist's, so its
+    bytes are pinned too: on stdout and with --out, raw and flattened."""
+    out = tmp_path / "c.net"
+    for (name, n, t), digests in NETLIST_DIGESTS.items():
+        for flags, digest in zip(([], ["--flattened"]), digests):
+            argv = ["compile-tm", str(FIXTURES / name), "-n", str(n),
+                    "-t", str(t), *flags]
+            assert main(argv) == 0
+            stdout = capsys.readouterr().out.encode()
+            assert main(argv + ["--out", str(out)]) == 0
+            assert capsys.readouterr().out == ""
+            for got in (stdout, out.read_bytes()):
+                assert hashlib.sha256(got).hexdigest() == digest, argv
+
+
+def test_cli_text_is_the_library_circuit_on_generated_machines(tmp_path, capsys):
+    rng = random.Random(15)
+    path = tmp_path / "m.tm"
+    for _ in range(30):
+        text = _random_machine_text(rng)
+        path.write_text(text)
+        tm = parse_tm(text)
+        n = rng.randint(0, 5)
+        t = rng.randint(max(1, n - 1), 10)
+        for flags, compile_ in (([], compile_tm),
+                                (["--flattened"], compile_tm_flattened)):
+            assert main(["compile-tm", str(path), "-n", str(n), "-t", str(t),
+                         *flags]) == 0
+            assert capsys.readouterr().out == \
+                emit_netlist(compile_(tm, n, t)), (tm.delta, n, t, flags)
