@@ -7,6 +7,9 @@ whole truth table, which keeps the exhaustive sweeps cheap.  A single
 assignment (``evaluate``, ``wire_values``) runs the same interpreter on
 one-bit masks.
 
+The interpreter walks the Circuit's columns (kinds, operand positions,
+const values) in definition order; it builds no per-gate record.
+
 A mask takes 2**n bits, so holding one per wire costs gates * 2**n / 8
 bytes.  Callers that need only some wires (the verifiers read the outputs)
 name them, and the evaluator then computes only those wires' cone of
@@ -17,7 +20,7 @@ computes and returns every wire.
 
 from __future__ import annotations
 
-from .circuit import AND, INPUT, NOT, OR, Circuit
+from .circuit import AND, CONST, NOT, OR, Circuit
 
 
 def full_mask(n: int) -> int:
@@ -70,12 +73,12 @@ def evaluate_masks(c: Circuit, masks, full: int, wires=None) -> dict[str, int]:
     if len(masks) != len(c.inputs):
         raise ValueError(
             f"{len(masks)} input masks supplied, circuit has {len(c.inputs)} inputs")
-    gates = c.gates
-    arg_pos = c._arg_pos
+    kinds, first, second = c.kinds, c.first, c.second
     index = c._index
-    end = len(gates)
+    end = len(kinds)
     if wires is None:
         last = [end] * end
+        live = range(end)
     else:
         # last[p]: the position of wire p's last reader, end for a requested
         # wire, -1 for a wire no requested wire depends on.  Walking back
@@ -86,34 +89,40 @@ def evaluate_masks(c: Circuit, masks, full: int, wires=None) -> dict[str, int]:
             if p is None:
                 raise ValueError(f"circuit defines no wire {w!r}")
             last[p] = end
+        live = []
         for pos in range(end - 1, -1, -1):
             if last[pos] >= 0:
-                for a in arg_pos[pos]:
-                    if last[a] < 0:
-                        last[a] = pos
+                live.append(pos)
+                a = first[pos]
+                if a >= 0 and last[a] < 0:
+                    last[a] = pos
+                b = second[pos]
+                if b >= 0 and last[b] < 0:
+                    last[b] = pos
+        live.reverse()
     vals = [0] * end
     for name, m in zip(c.inputs, masks):
         vals[index[name]] = m
-    for pos, g in enumerate(gates):
-        if last[pos] < 0:
-            continue
-        op = g.op
-        if op == AND or op == OR:
-            a, b = arg_pos[pos]
-            vals[pos] = vals[a] & vals[b] if op == AND else vals[a] | vals[b]
+    values = c.values
+    for pos in live:
+        op = kinds[pos]
+        if op is AND or op is OR:
+            a = first[pos]
+            b = second[pos]
+            vals[pos] = vals[a] & vals[b] if op is AND else vals[a] | vals[b]
             if last[a] == pos:
                 vals[a] = 0
             if last[b] == pos:
                 vals[b] = 0
-        elif op == NOT:
-            (a,) = arg_pos[pos]
+        elif op is NOT:
+            a = first[pos]
             vals[pos] = full ^ vals[a]
             if last[a] == pos:
                 vals[a] = 0
-        elif op != INPUT:
-            vals[pos] = full if g.value else 0
+        elif op is CONST:
+            vals[pos] = full if values[pos] else 0
     if wires is None:
-        return {g.name: vals[pos] for pos, g in enumerate(gates)}
+        return dict(zip(c.names, vals))
     return {w: vals[index[w]] for w in wires}
 
 

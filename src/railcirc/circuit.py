@@ -3,7 +3,7 @@
 Gate kinds are ``input``, ``const``, ``and``, ``or`` and ``not``.  A circuit
 is an immutable sequence of gates in definition order together with the
 designated output wires; definitions must appear before use, so a well-formed
-gate list is already topologically sorted and acyclic.
+netlist is already topologically sorted and acyclic.
 
 Netlist grammar (UTF-8, ``#`` starts a comment; lines end at LF, CRLF or
 a lone CR):
@@ -21,15 +21,19 @@ are separated by any whitespace; emission always uses single spaces, one
 definition per line, output lines last.
 
 Netlist text is checked by one scanner, ``read_netlist``, one line at a
-time: ``parse_netlist`` and the streamed dual-rail rewrite both read it, so
-both report the first faulty line in file order with the same message.  A
-Circuit built from Gate values in the library is checked by its
-constructor instead.
+time: the Circuit constructor and the streamed dual-rail rewrite both read
+it, so both report the first faulty line in file order with the same
+message.  A Circuit is built from netlist text only (``parse_netlist``), so
+every Circuit has passed that one check.  It stores what the check
+resolved, one column per field: names, kinds, operand positions and const
+values; ``gates`` shows the same gates as Gate tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 INPUT = "input"
@@ -39,7 +43,6 @@ OR = "or"
 NOT = "not"
 OUTPUT = "output"  # the keyword of an output line, not a gate kind
 
-_ARITY = {INPUT: 0, CONST: 0, AND: 2, OR: 2, NOT: 1}
 # Per netlist keyword: its kind and its number of tokens, keyword included.
 # The kind is the module's own string object, so a parsed gate holds no
 # per-line keyword token.
@@ -48,167 +51,128 @@ _KEYWORDS = {kind: (kind, width) for kind, width in (
 
 
 class NetlistError(ValueError):
-    """Malformed netlist text or ill-formed circuit structure.
+    """Malformed netlist text: ``line`` is the 1-based line of the first
+    fault, or None for a fault a line number cannot place."""
 
-    ``line`` is the 1-based source line of a parse error; ``gate`` is the
-    position, in the gate sequence, of the gate a structural check rejected.
-    """
-
-    def __init__(self, message: str, line: int | None = None,
-                 gate: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-        self.gate = gate
 
 
 class Gate(NamedTuple):
-    """One gate definition: name, operation, operand wires, const payload.
-
-    A named tuple: cheap to build, and since it holds only strings, ints and
-    a tuple of strings, the garbage collector stops tracking it after one
-    collection.  Nothing is checked here; a Circuit checks it with
-    ``check_gate`` and turns a list ``args`` into a tuple.
-    """
+    """One gate as the ``gates`` view of a Circuit shows it: name, kind,
+    operand names and the const payload (None on other kinds)."""
 
     name: str
     op: str
     args: tuple[str, ...] = ()
-    value: int | None = None  # const gates only
+    value: int | None = None
 
 
-def check_gate(name, op, args, value, index) -> tuple:
-    """Check one library-built gate against the gates defined before it;
-    return the positions of its operands.
+class _Gates(Sequence):
+    """A Circuit's gates as Gate tuples, built from its columns on access.
 
-    ``index`` maps every name defined so far to its position.  The rules:
-    known kind, name syntax, no duplicate, a tuple or list of operands of
-    the kind's arity, a 0/1 payload on const gates only, operands defined
-    above.  Values of any type may come in, so each is checked for its
-    type as well.  Raises NetlistError without a location; the Circuit adds
-    the gate position.
+    Read-only and indexed by gate position (no slices); ``len`` costs
+    nothing, so counting gates builds no tuple.
     """
-    try:
-        arity = _ARITY.get(op)
-    except TypeError:  # an unhashable op names no gate kind either
-        arity = None
-    if arity is None:
-        raise NetlistError(f"unknown gate kind {op!r}")
-    # for ASCII text, isidentifier() is exactly [A-Za-z_][A-Za-z0-9_]*
-    try:
-        named = name.isascii() and name.isidentifier()
-    except AttributeError:  # not a string
-        named = False
-    if not named:
-        raise NetlistError(f"invalid name {name!r}")
-    if name in index:
-        raise NetlistError(f"duplicate name {name!r}")
-    if type(args) is not tuple and not isinstance(args, (tuple, list)):
-        raise NetlistError(
-            f"operands of gate {name!r} must be a tuple or a list, got {args!r}")
-    if len(args) != arity:
-        raise NetlistError(
-            f"{op} gate {name!r} takes {arity} operand(s), got {len(args)}")
-    if op == CONST:
-        if type(value) is not int or value not in (0, 1):
-            raise NetlistError(f"const gate {name!r} must carry 0 or 1")
-    elif value is not None:
-        raise NetlistError(f"{op} gate {name!r} must not carry a value")
-    try:
-        if arity == 2:
-            return index[args[0]], index[args[1]]
-        if arity:
-            return (index[args[0]],)
-        return ()
-    except KeyError as exc:
-        raise NetlistError(
-            f"undefined reference {exc.args[0]!r} in gate {name!r}") from None
-    except TypeError:  # an unhashable operand names no wire
-        raise NetlistError(f"invalid operand in gate {name!r}: {args!r}") from None
+
+    __slots__ = ("_c",)
+
+    def __init__(self, c: Circuit):
+        self._c = c
+
+    def __len__(self) -> int:
+        return len(self._c.names)
+
+    def __getitem__(self, pos: int) -> Gate:
+        c = self._c
+        names = c.names
+        args = tuple(names[p] for p in (c.first[pos], c.second[pos]) if p >= 0)
+        return Gate(names[pos], c.kinds[pos], args, c.values[pos])
 
 
 @dataclass(frozen=True, repr=False)
 class Circuit:
-    """Immutable gate DAG in definition order plus the output wire list.
+    """Immutable gate DAG in definition order plus the output wire list,
+    built from netlist text.
 
-    Construction runs ``check_gate`` on every gate (unique names, known
-    kinds, correct arities, no forward references) and checks the outputs,
-    so every reachable Circuit is well formed.  ``parse_netlist`` checks
-    its text with ``read_netlist`` instead and stores the parts through the
-    same ``_fill``, without checking them again.  Evaluation and the
-    analyses below are pure functions; a Circuit can be shared freely
-    between threads.
+    ``Circuit(text)``, which ``parse_netlist`` calls, checks the text with
+    ``read_netlist`` and keeps what it resolved as columns indexed by gate
+    position: ``names``, ``kinds`` (the kind constants), ``first`` and
+    ``second`` (operand positions, -1 where the kind takes fewer operands),
+    ``values`` (0 or 1 on const gates, else None), plus ``outputs`` and
+    ``inputs`` by name.  Definitions precede their uses, so the columns are
+    in topological order.  Two circuits are equal when their columns and
+    outputs are.  Evaluation and the analyses below are pure functions; a
+    Circuit can be shared freely between threads.
     """
 
-    gates: tuple[Gate, ...]
-    outputs: tuple[str, ...]
+    text: InitVar[str]
+    names: tuple[str, ...] = field(init=False)
+    kinds: tuple[str, ...] = field(init=False)
+    first: tuple[int, ...] = field(init=False)
+    second: tuple[int, ...] = field(init=False)
+    values: tuple[int | None, ...] = field(init=False)
+    outputs: tuple[str, ...] = field(init=False)
+    inputs: tuple[str, ...] = field(init=False, compare=False)
+    _index: dict[str, int] = field(init=False, compare=False)
 
-    def __post_init__(self):
-        gates = tuple(self.gates)
+    def __post_init__(self, text: str):
+        """Check ``text`` line by line and store its columns.
+
+        Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as the CLI's
+        files are read; other whitespace, form feed included, only
+        separates tokens.
+        """
         index: dict[str, int] = {}
-        inputs: list[str] = []
-        arg_pos: list[tuple[int, ...]] = []
-        retupled: list[Gate] | None = None
-        pos = 0
-        try:
-            for pos, (name, op, args, value) in enumerate(gates):
-                arg_pos.append(check_gate(name, op, args, value, index))
-                if type(args) is not tuple:  # a list or a tuple subclass
-                    if retupled is None:
-                        retupled = list(gates)
-                    retupled[pos] = Gate(name, op, tuple(args), value)
-                if op == INPUT:
-                    inputs.append(name)
-                index[name] = pos
-        except NetlistError as exc:
-            raise NetlistError(str(exc), gate=pos) from None
-        outputs = tuple(self.outputs)
-        for o in outputs:
-            try:
-                defined = o in index
-            except TypeError:  # an unhashable output names no wire
-                defined = False
-            if not defined:
-                raise NetlistError(f"output references undefined gate {o!r}")
-        self._fill(gates if retupled is None else tuple(retupled), outputs,
-                   index, tuple(arg_pos), tuple(inputs))
-
-    def _fill(self, gates, outputs, index, arg_pos, inputs) -> Circuit:
-        """Store checked parts: the gates and outputs, each name's position,
-        each gate's operand positions and the input names."""
-        setattr_ = object.__setattr__
-        setattr_(self, "gates", gates)
-        setattr_(self, "outputs", outputs)
-        setattr_(self, "_index", index)
-        setattr_(self, "_arg_pos", arg_pos)
-        setattr_(self, "_inputs", inputs)
-        return self
+        columns = names, kinds, first, second, values, outputs, inputs = (
+            [], [], [], [], [], [], [])
+        if "\r" in text:  # universal newlines: \r\n and a lone \r end a line
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        for _, kind, name, value, a, b in read_netlist(text.split("\n"), index):
+            if kind is OUTPUT:
+                outputs.append(name)
+                continue
+            index[name] = len(names)
+            names.append(name)
+            kinds.append(kind)
+            first.append(a)
+            second.append(b)
+            values.append(value)
+            if kind is INPUT:
+                inputs.append(name)
+        for attr, column in zip(("names", "kinds", "first", "second", "values",
+                                 "outputs", "inputs"), columns):
+            object.__setattr__(self, attr, tuple(column))
+        object.__setattr__(self, "_index", index)
 
     @property
-    def inputs(self) -> tuple[str, ...]:
-        """Input wire names, in definition order."""
-        return self._inputs
+    def gates(self) -> Sequence[Gate]:
+        """The gates in definition order, as a read-only view of Gate tuples."""
+        return _Gates(self)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
     def __repr__(self) -> str:
-        return (f"Circuit(inputs={len(self._inputs)}, gates={len(self.gates)}, "
+        return (f"Circuit(inputs={len(self.inputs)}, gates={len(self.names)}, "
                 f"outputs={len(self.outputs)})")
 
 
 def read_netlist(lines: Iterable[str], index: dict) -> Iterator[tuple]:
     """Check netlist lines one at a time and resolve their operands.
 
-    Yields ``(line, kind, name, args, value, operands)`` per definition
-    line and ``(line, OUTPUT, name, (), None, (index[name],))`` per
-    ``output`` line, comments and blanks skipped.  ``kind`` is one of the
-    module's kind constants, ``args`` the operand names and ``operands``
-    what ``index`` maps them to.  ``index`` maps every name defined above
-    the line: ``parse_netlist`` passes name -> position, the streamed
-    dual-rail rewrite name -> zero-rail name, and the caller adds each yielded
-    gate's name before it asks for the next line.
+    Yields ``(line, kind, name, value, a, b)`` per definition line and
+    ``(line, OUTPUT, name, None, index[name], -1)`` per ``output`` line,
+    comments and blanks skipped.  ``kind`` is one of the module's kind
+    constants, ``value`` a const gate's 0 or 1 (else None), and ``a`` and
+    ``b`` what ``index`` maps the operands to, -1 where the kind takes
+    fewer.  ``index`` maps every name defined above the line: a Circuit
+    passes name -> position, the streamed dual-rail rewrite name ->
+    zero-rail name, and the caller adds each yielded gate's name before it
+    asks for the next line.
 
     Each line is checked once, in this order: keyword, token count, const
     value, name syntax, duplicate name, operands defined above.  The first
@@ -232,7 +196,7 @@ def read_netlist(lines: Iterable[str], index: dict) -> Iterator[tuple]:
         if kind is OUTPUT:
             if name not in index:
                 raise NetlistError(f"undefined reference {name!r}", lineno)
-            yield lineno, OUTPUT, name, (), None, (index[name],)
+            yield lineno, OUTPUT, name, None, index[name], -1
             continue
         value = None
         if kind is CONST:
@@ -247,59 +211,39 @@ def read_netlist(lines: Iterable[str], index: dict) -> Iterator[tuple]:
             raise NetlistError(f"duplicate name {name!r}", lineno)
         try:
             if width == 4:
-                a = tokens[2]
-                b = tokens[3]
-                args = (a, b)
-                operands = (index[a], index[b])
+                a = index[tokens[2]]
+                b = index[tokens[3]]
             elif kind is NOT:
-                a = tokens[2]
-                args = (a,)
-                operands = (index[a],)
+                a = index[tokens[2]]
+                b = -1
             else:
-                args = operands = ()
+                a = b = -1
         except KeyError as exc:
             raise NetlistError(f"undefined reference {exc.args[0]!r} in gate {name!r}",
                                lineno) from None
-        yield lineno, kind, name, args, value, operands
+        yield lineno, kind, name, value, a, b
 
 
 def parse_netlist(text: str) -> Circuit:
     """Parse netlist text into a Circuit, enforcing definition-before-use.
 
-    Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as the CLI's files are
-    read; other whitespace, form feed included, only separates tokens.
-    Every check is ``read_netlist``'s, so the first faulty line in file
-    order is reported; the checked parts become the Circuit as they are.
+    The one way to build a Circuit: every check is ``read_netlist``'s, run
+    by the constructor, so the first faulty line in file order is reported.
     """
-    index: dict[str, int] = {}
-    gates: list[Gate] = []
-    arg_pos: list[tuple[int, ...]] = []
-    inputs: list[str] = []
-    outputs: list[str] = []
-    if "\r" in text:  # universal newlines: \r\n and a lone \r end a line
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for _, kind, name, args, value, operands in read_netlist(text.split("\n"), index):
-        if kind is OUTPUT:
-            outputs.append(name)
-            continue
-        index[name] = len(gates)
-        # tuple.__new__ skips the Python frame of Gate.__new__
-        gates.append(tuple.__new__(Gate, (name, kind, args, value)))
-        arg_pos.append(operands)
-        if kind is INPUT:
-            inputs.append(name)
-    return object.__new__(Circuit)._fill(tuple(gates), tuple(outputs), index,
-                                         tuple(arg_pos), tuple(inputs))
+    return Circuit(text)
 
 
 def emit_netlist(c: Circuit) -> str:
     """Render the canonical netlist text; parse(emit(c)) reproduces c."""
+    names = c.names
     lines = []
     append = lines.append
-    for name, op, args, value in c.gates:
-        if args:
-            append(f"{op} {name} {' '.join(args)}")
-        elif op == INPUT:
+    for name, kind, a, b, value in zip(names, c.kinds, c.first, c.second, c.values):
+        if b >= 0:
+            append(f"{kind} {name} {names[a]} {names[b]}")
+        elif a >= 0:
+            append(f"not {name} {names[a]}")
+        elif value is None:
             append(f"input {name}")
         else:
             append(f"const {name} {value}")
@@ -309,7 +253,7 @@ def emit_netlist(c: Circuit) -> str:
 
 def is_structurally_monotone(c: Circuit) -> bool:
     """True when the circuit contains no NOT gate (and/or/input/const only)."""
-    return all(g.op != NOT for g in c.gates)
+    return NOT not in c.kinds
 
 
 @dataclass(frozen=True)
@@ -326,13 +270,13 @@ class CircuitStats:
 
 def stats(c: Circuit) -> CircuitStats:
     """Gate counts per kind plus the longest source-to-output path length."""
-    counts = {INPUT: 0, CONST: 0, AND: 0, OR: 0, NOT: 0}
-    depth = [0] * len(c.gates)
-    arg_pos = c._arg_pos
-    for pos, g in enumerate(c.gates):
-        counts[g.op] += 1
-        if arg_pos[pos]:
-            depth[pos] = 1 + max(depth[a] for a in arg_pos[pos])
+    counts = Counter(c.kinds)
+    depth = [0] * len(c.names)
+    for pos, a, b in zip(range(len(depth)), c.first, c.second):
+        if b >= 0:
+            depth[pos] = 1 + max(depth[a], depth[b])
+        elif a >= 0:
+            depth[pos] = 1 + depth[a]
     idx = c._index
     circuit_depth = max((depth[idx[o]] for o in c.outputs), default=0)
     return CircuitStats(
@@ -343,7 +287,7 @@ def stats(c: Circuit) -> CircuitStats:
         not_count=counts[NOT],
         output_count=len(c.outputs),
         depth=circuit_depth,
-        total_gates=len(c.gates),
+        total_gates=len(depth),
     )
 
 
@@ -358,19 +302,22 @@ def emit_dot(c: Circuit) -> str:
     """
     out = ["digraph circuit {", "  rankdir=LR;"]
     marked = set(c.outputs)
-    for g in c.gates:
-        if g.op == INPUT:
-            label = g.name
-        elif g.op == CONST:
-            label = f"{g.name}={g.value}"
+    names = c.names
+    for name, kind, value in zip(names, c.kinds, c.values):
+        if kind is INPUT:
+            label = name
+        elif kind is CONST:
+            label = f"{name}={value}"
         else:
-            label = f"{g.op}\\n{g.name}"
-        attrs = f'shape={_DOT_SHAPE[g.op]}, label="{label}"'
-        if g.name in marked:
+            label = f"{kind}\\n{name}"
+        attrs = f'shape={_DOT_SHAPE[kind]}, label="{label}"'
+        if name in marked:
             attrs += ", peripheries=2"
-        out.append(f'  "{g.name}" [{attrs}];')
-    for g in c.gates:
-        for a in g.args:
-            out.append(f'  "{a}" -> "{g.name}";')
+        out.append(f'  "{name}" [{attrs}];')
+    for name, a, b in zip(names, c.first, c.second):
+        if a >= 0:
+            out.append(f'  "{names[a]}" -> "{name}";')
+        if b >= 0:
+            out.append(f'  "{names[b]}" -> "{name}";')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -20,7 +20,9 @@ scanner ``parse_netlist`` uses, and writes its rail lines at once.  It
 keeps only each defined name's zero-rail name (the one-rail differs in
 the last digit) and the text written so far, joined a block of gates at a
 time; never a Circuit.  That pass is the only rewrite: ``dual_rail_transform``
-and ``rail_map`` run it on a circuit's emitted text.
+and ``rail_map`` run it on a circuit's emitted text.  Circuits built here,
+the rewrite's result and the equality classifier, are written as netlist
+text and parsed, like every Circuit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable
 
 from .bitsim import (assignment_of_index, evaluate_masks, full_mask, input_masks,
                      lowest_set_bit, rail_masks)
-from .circuit import (AND, INPUT, NOT, OR, OUTPUT, Circuit, Gate, NetlistError,
+from .circuit import (AND, INPUT, NOT, OR, OUTPUT, Circuit, NetlistError,
                       emit_netlist, parse_netlist, read_netlist)
 from .reports import RAIL, CounterexampleReport
 
@@ -112,36 +114,24 @@ def build_eq_classifier(n: int) -> Circuit:
     Takes 4n inputs: the rails of x, then the rails of y.  On valid flattened
     inputs it outputs 1 exactly when the two encoded words are equal.  For
     n = 1 this is the four-input circuit ((x0 and y0) or (x1 and y1)); larger
-    widths AND together one such stage per bit position.
+    widths AND together one such stage per bit position.  The circuit is
+    written as netlist text and parsed.
     """
     if n < 1:
         raise ValueError("classifier needs at least one bit pair")
     if n == 1:
-        gates = (
-            Gate("x0", INPUT), Gate("x1", INPUT),
-            Gate("y0", INPUT), Gate("y1", INPUT),
-            Gate("a", AND, ("x0", "y0")),
-            Gate("b", AND, ("x1", "y1")),
-            Gate("e", OR, ("a", "b")),
-        )
-        return Circuit(gates, ("e",))
-    gates = []
+        return parse_netlist("input x0\ninput x1\ninput y0\ninput y1\n"
+                             "and a x0 y0\nand b x1 y1\nor e a b\noutput e\n")
+    lines = [f"input {w}{i}_{k}" for w in "xy" for i in range(n) for k in (0, 1)]
     for i in range(n):
-        gates.append(Gate(f"x{i}_0", INPUT))
-        gates.append(Gate(f"x{i}_1", INPUT))
-    for i in range(n):
-        gates.append(Gate(f"y{i}_0", INPUT))
-        gates.append(Gate(f"y{i}_1", INPUT))
-    for i in range(n):
-        gates.append(Gate(f"p{i}_0", AND, (f"x{i}_0", f"y{i}_0")))
-        gates.append(Gate(f"p{i}_1", AND, (f"x{i}_1", f"y{i}_1")))
-        gates.append(Gate(f"eq{i}", OR, (f"p{i}_0", f"p{i}_1")))
+        lines += [f"and p{i}_0 x{i}_0 y{i}_0", f"and p{i}_1 x{i}_1 y{i}_1",
+                  f"or eq{i} p{i}_0 p{i}_1"]
     acc = "eq0"
     for i in range(1, n):
-        name = f"all{i}"
-        gates.append(Gate(name, AND, (acc, f"eq{i}")))
-        acc = name
-    return Circuit(tuple(gates), (acc,))
+        lines.append(f"and all{i} {acc} eq{i}")
+        acc = f"all{i}"
+    lines.append(f"output {acc}")
+    return parse_netlist("\n".join(lines) + "\n")
 
 
 def _one_rail(zero: str) -> str:
@@ -172,21 +162,20 @@ def _rewrite(lines: Iterable[str]) -> tuple[list[str], dict[str, str]]:
     gates: list[str] = []
     outputs: list[str] = []
     append = gates.append
-    for lineno, kind, name, _, value, operands in read_netlist(lines, zeros):
+    for lineno, kind, name, value, za, zb in read_netlist(lines, zeros):
         if kind is OUTPUT:
-            outputs.append(f"output {_one_rail(operands[0])}\n")
+            outputs.append(f"output {_one_rail(za)}\n")
             continue
         if RAIL_SEPARATOR in name:
             raise NetlistError(
                 f"gate name {name!r} contains the reserved rail separator "
                 f"{RAIL_SEPARATOR!r}", lineno)
         if kind is NOT:
-            zeros[name] = _one_rail(operands[0])
+            zeros[name] = _one_rail(za)
             continue
         z = zeros[name] = name + "__0"
         dual = _DUAL.get(kind)
         if dual is not None:
-            za, zb = operands
             append(f"{dual} {z} {za} {zb}\n"
                    f"{kind} {name}__1 {_one_rail(za)} {_one_rail(zb)}\n")
         elif kind is INPUT:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from railcirc import (AND, CONST, INPUT, NOT, ONE_HOT, OR, Circuit,
-                      CounterexampleReport, Gate, cell_alphabet)
+from railcirc import (AND, CONST, NOT, ONE_HOT, OR, Circuit, CounterexampleReport,
+                      cell_alphabet, emit_netlist, parse_netlist)
 from railcirc.bitsim import (assignment_of_index, evaluate_masks, full_mask,
                              input_masks, lowest_set_bit)
 
@@ -23,18 +23,25 @@ def random_circuit(rng, max_inputs=10, max_gates=60, ops=(AND, OR, NOT)) -> Circ
     earlier wires, so deep and reconvergent shapes both occur.
     """
     n = rng.randint(1, max_inputs)
-    gates = [Gate(f"x{i}", INPUT) for i in range(n)]
-    wires = [g.name for g in gates]
+    wires = [f"x{i}" for i in range(n)]
+    lines = [f"input {x}" for x in wires]
     for j in range(rng.randint(1, max_gates - n)):
         op = rng.choice(ops)
         name = f"g{j}"
         if op == NOT:
-            args = (rng.choice(wires),)
+            args = rng.choice(wires)
         else:
-            args = (rng.choice(wires), rng.choice(wires))
-        gates.append(Gate(name, op, args))
+            args = f"{rng.choice(wires)} {rng.choice(wires)}"
+        lines.append(f"{op} {name} {args}")
         wires.append(name)
-    return Circuit(tuple(gates), (wires[-1],))
+    lines.append(f"output {wires[-1]}")
+    return parse_netlist("\n".join(lines) + "\n")
+
+
+def gate_lines(c: Circuit) -> str:
+    """The canonical netlist text of c without its output lines."""
+    return "".join(line for line in emit_netlist(c).splitlines(True)
+                   if not line.startswith("output "))
 
 
 def random_monotone_circuit(rng, max_inputs=10, max_gates=60) -> Circuit:

@@ -5,9 +5,8 @@ import tracemalloc
 
 import pytest
 
-from railcirc import (AND, CONST, FLATTENED, INPUT, NOT, OR, Circuit, Gate,
-                      check_semantic_monotone, dual_rail_transform,
-                      exhaustive_equiv)
+from railcirc import (FLATTENED, check_semantic_monotone, dual_rail_transform,
+                      exhaustive_equiv, parse_netlist)
 from railcirc.bitsim import evaluate_masks, full_mask, input_masks
 
 from helpers import random_circuit
@@ -22,16 +21,18 @@ def _both(c, wires):
 
 
 def test_requested_wires_match_the_all_wire_dict():
-    c = Circuit((
-        Gate("x0", INPUT), Gate("x1", INPUT), Gate("x2", INPUT),
-        Gate("k", CONST, value=1),
-        Gate("a", AND, ("x0", "x1")),
-        Gate("d", OR, ("a", "a")),        # the same operand twice
-        Gate("u", NOT, ("x2",)),          # nothing reads it
-        Gate("v", AND, ("u", "k")),       # nor this
-        Gate("e", AND, ("d", "x2")),
-        Gate("f", OR, ("x2", "x2")),      # x2's last reader reads it twice
-    ), ())
+    c = parse_netlist("""
+        input x0
+        input x1
+        input x2
+        const k 1
+        and a x0 x1
+        or  d a a      # the same operand twice
+        not u x2       # nothing reads it
+        and v u k      # nor this
+        and e d x2
+        or  f x2 x2    # x2's last reader reads it twice
+    """)
     # a is read by d later on, x0 is an input, e is asked for twice
     wires = ("a", "x0", "e", "e", "f", "k")
     got, want = _both(c, wires)
@@ -43,7 +44,7 @@ def test_requested_wires_on_random_circuits():
     rng = random.Random(3)
     for _ in range(150):
         c = random_circuit(rng, max_inputs=8, max_gates=40)
-        names = [g.name for g in c.gates]
+        names = list(c.names)
         wires = tuple(rng.choices(names, k=rng.randint(1, 5))) + c.outputs
         got, want = _both(c, wires)
         assert got == want
@@ -67,15 +68,18 @@ class _Counted(int):
 
 
 def test_only_the_requested_cone_is_computed():
-    c = Circuit((
-        Gate("x0", INPUT), Gate("x1", INPUT), Gate("x2", INPUT),
-        Gate("a", AND, ("x0", "x1")),
-        Gate("d", OR, ("a", "a")),        # the same operand twice
-        Gate("u", NOT, ("x2",)),          # dead
-        Gate("v", AND, ("u", "x0")),      # dead
-        Gate("n", NOT, ("d",)),           # requested, no output reads it
-        Gate("e", AND, ("d", "x2")),
-    ), ("e",))
+    c = parse_netlist("""
+        input x0
+        input x1
+        input x2
+        and a x0 x1
+        or  d a a      # the same operand twice
+        not u x2       # dead
+        and v u x0     # dead
+        not n d        # requested, no output reads it
+        and e d x2
+        output e
+    """)
     masks = [_Counted(m) for m in input_masks(3)]
     full = _Counted(full_mask(3))
     # the cone of e, n and the input x1 is a, d, n, e; u and v are dead
@@ -87,7 +91,7 @@ def test_only_the_requested_cone_is_computed():
 
 
 def test_unknown_wire_is_named():
-    c = Circuit((Gate("x", INPUT), Gate("g", NOT, ("x",))), ("g",))
+    c = parse_netlist("input x\nnot g x\noutput g\n")
     with pytest.raises(ValueError, match="'ghost'"):
         evaluate_masks(c, input_masks(1), full_mask(1), ("g", "ghost"))
 
@@ -106,15 +110,14 @@ def test_verifiers_hold_only_live_wires():
     # each link: holding every wire's 2**16-bit mask would take tens of MB,
     # while only a handful of them are live at once.
     n = 16
-    gates = [Gate(f"x{i}", INPUT) for i in range(n)]
+    lines = [f"input x{i}" for i in range(n)]
     prev = "x0"
     for i in range(1500):
         x = f"x{(i + 1) % n}"
-        args = (prev, x) if i % 4 < 2 else (x, prev)
-        gates.append(Gate(f"g{i}", (AND, OR)[i % 2], args))
-        gates.append(Gate(f"h{i}", OR, args))
+        args = f"{prev} {x}" if i % 4 < 2 else f"{x} {prev}"
+        lines += [f"{('and', 'or')[i % 2]} g{i} {args}", f"or h{i} {args}"]
         prev = f"g{i}"
-    c = Circuit(tuple(gates), (prev,))
+    c = parse_netlist("\n".join(lines) + f"\noutput {prev}\n")
     m = dual_rail_transform(c)
     report, peak = _peak_bytes(lambda: exhaustive_equiv(c, m, FLATTENED))
     assert report is None

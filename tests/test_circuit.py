@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from railcirc import (AND, CONST, INPUT, NOT, OR, Circuit, Gate, NetlistError, emit_dot,
+from railcirc import (AND, INPUT, OR, Circuit, NetlistError, build_eq_classifier,
+                      compile_tm, compile_tm_flattened, dual_rail_transform, emit_dot,
                       emit_netlist, evaluate, is_structurally_monotone,
-                      parse_netlist, stats, wire_values)
+                      parse_netlist, parse_tm, stats, wire_values)
 from railcirc.dualrail import dual_rail_netlist
 from railcirc.verify import check_semantic_monotone
 
-from helpers import messy_netlist, random_circuit, random_monotone_circuit
+from helpers import (fixture_text, gate_lines, messy_netlist, random_circuit,
+                     random_monotone_circuit)
 
 EQ_CLASSIFIER_SRC = """\
 input x0
@@ -81,6 +83,7 @@ _PREAMBLE = "# bad netlist\n\n   # indented comment\n\t\n"
 @pytest.mark.parametrize("body, line, match", [
     ("input x\n# again\ninput x\n", 7, "duplicate name 'x'"),
     ("input x\nnot 9x x\n", 6, "invalid name '9x'"),
+    ("input x\ninput é\n", 6, "invalid name 'é'"),
     ("input x\nand g x y\noutput g\n", 6, "undefined reference 'y'"),
     ("not n x\ninput x\noutput n\n", 5, "undefined reference 'x'"),
     ("input x\noutput n\nnot n x\n", 6, "undefined reference 'n'"),
@@ -91,9 +94,9 @@ _PREAMBLE = "# bad netlist\n\n   # indented comment\n\t\n"
     # the first faulty line in file order, whatever the kind of its fault
     ("input x\nand g x ghost\ninput y z\noutput g\n", 6, "undefined reference 'ghost'"),
     ("input x\noutput ghost\nand g x y\n", 6, "undefined reference 'ghost'"),
-], ids=["duplicate", "invalid-name", "undefined-operand", "forward-reference",
-        "output-before-definition", "output-never-defined", "unknown-keyword",
-        "bad-const", "token-count", "structural-above-token-count",
+], ids=["duplicate", "invalid-name", "non-ascii-name", "undefined-operand",
+        "forward-reference", "output-before-definition", "output-never-defined",
+        "unknown-keyword", "bad-const", "token-count", "structural-above-token-count",
         "output-above-undefined-operand"])
 def test_parse_errors_name_their_line(body, line, match):
     with pytest.raises(NetlistError, match=match) as info:
@@ -168,47 +171,33 @@ def test_parse_and_flatten_report_the_same_first_fault():
                                                                    str(flat.value))
 
 
+# Faulty gates, one netlist line each, so the gate at position pos is on line
+# pos + 1.  Each id names the fault as the gate-list form of these rows did;
+# in text, a value on an input, a const without one and a name with a space
+# all give a line the wrong number of tokens.
 @pytest.mark.parametrize("gates, pos, match", [
-    ((Gate("x", INPUT), Gate("g", "nand", ("x", "x"))), 1, "unknown gate kind 'nand'"),
-    ((Gate("x", INPUT, value=1),), 0, "must not carry a value"),
-    ((Gate("x", INPUT), Gate("k", CONST)), 1, "must carry 0 or 1"),
-    ((Gate("x", INPUT), Gate("k", CONST, value=2)), 1, "must carry 0 or 1"),
-    ((Gate("x", INPUT), Gate("x y", INPUT)), 1, "invalid name"),
-    ((Gate("x", INPUT), Gate("é", INPUT)), 1, "invalid name"),
-    ((Gate(5, INPUT),), 0, "invalid name 5"),
-    ((Gate("x", INPUT), Gate("g", ["and"], ("x", "x"))), 1, "unknown gate kind"),
-    ((Gate("x", INPUT), Gate("g", NOT, (["x"],))), 1, "invalid operand in gate 'g'"),
-    # no position: the fault is in the outputs, given with the gates
-    (((Gate("x", INPUT),), (["x"],)), None, r"undefined gate \['x'\]"),
-    # a string is not split into operand names, and a non-sequence is named
-    ((Gate("a", INPUT), Gate("b", INPUT), Gate("g", AND, "ab")), 2,
-     "operands of gate 'g' must be a tuple or a list, got 'ab'"),
-    ((Gate("x", INPUT), Gate("g", NOT, 5)), 1,
-     "operands of gate 'g' must be a tuple or a list, got 5"),
-    # an int 0 or 1 only: True and 1.0 compare equal to 1 but emit as
-    # 'const k True' and 'const k 1.0', which parse_netlist rejects
-    ((Gate("x", INPUT), Gate("k", CONST, value=True)), 1, "must carry 0 or 1"),
-    ((Gate("x", INPUT), Gate("k", CONST, value=1.0)), 1, "must carry 0 or 1"),
+    pytest.param(("input x", "nand g x x"), 1, "unknown keyword 'nand'",
+                 id="gates0-1-unknown gate kind 'nand'"),
+    pytest.param(("input x 1",), 0, "input line takes 1 token",
+                 id="gates1-0-must not carry a value"),
+    pytest.param(("input x", "const k"), 1, "const line takes 2 token",
+                 id="gates2-1-must carry 0 or 1"),
+    pytest.param(("input x", "const k 2"), 1, "const value must be 0 or 1, got '2'",
+                 id="gates3-1-must carry 0 or 1"),
+    pytest.param(("input x", "input x y"), 1, "input line takes 1 token",
+                 id="gates4-1-invalid name"),
 ])
 def test_circuit_rejects_bad_gates(gates, pos, match):
-    gates, outputs = gates if pos is None else (gates, ())
     with pytest.raises(NetlistError, match=match) as info:
-        Circuit(gates, outputs)
-    assert info.value.gate == pos and info.value.line is None
-
-
-def test_circuit_turns_list_args_into_a_tuple():
-    c = Circuit((Gate("x", INPUT), Gate("g", NOT, ["x"])), ["g"])
-    assert c.gates[1].args == ("x",)
-    assert c.outputs == ("g",)
-    hash(c.gates[1])
-    assert hash(c) == hash(Circuit((Gate("x", INPUT), Gate("g", NOT, ("x",))), ("g",)))
+        parse_netlist("\n".join(gates) + "\n")
+    assert info.value.line == pos + 1
 
 
 def test_parse_accepts_tabs_and_crlf():
     text = "input\tx\ninput\ty  # tabbed\nand\tg\tx\ty\nnot n g\noutput\tn\n"
     c = parse_netlist(text)
     assert parse_netlist(text.replace("\n", "\r\n")) == c
+    assert hash(parse_netlist(text.replace("\n", "\r\n"))) == hash(c)
     # a lone CR ends a line, as universal newlines read it
     assert parse_netlist(text.replace("\n", "\r")) == c
     assert parse_netlist("input x\rinput y\n").inputs == ("x", "y")
@@ -241,8 +230,8 @@ def test_round_trip_through_generated_netlist_text():
     rng = random.Random(2718)
     for _ in range(60):
         b = random_circuit(rng, max_inputs=6, max_gates=30)
-        c = Circuit((Gate("k", CONST, value=rng.randint(0, 1)),) + b.gates,
-                    b.outputs + ("k",))
+        c = parse_netlist(f"const k {rng.randint(0, 1)}\n{gate_lines(b)}"
+                          f"output {b.outputs[0]}\noutput k\n")
         text = messy_netlist(rng, c)
         assert "\r\n" in text and "#" in text and "\t" in text
         assert emit_netlist(parse_netlist(text)) == emit_netlist(c)
@@ -359,9 +348,52 @@ def test_locality_of_input_flips():
 
 
 def test_circuit_constructor_validates():
-    with pytest.raises(NetlistError, match="duplicate"):
-        Circuit((Gate("x", INPUT), Gate("x", INPUT)), ())
-    with pytest.raises(NetlistError, match="operand"):
-        Circuit((Gate("x", INPUT), Gate("g", AND, ("x",))), ())
-    with pytest.raises(NetlistError, match="undefined"):
-        Circuit((Gate("g", NOT, ("x",)),), ())
+    # Circuit(text) is the constructor parse_netlist calls: same checks
+    with pytest.raises(NetlistError, match="line 2: duplicate"):
+        Circuit("input x\ninput x\n")
+    with pytest.raises(NetlistError, match="line 2: and line takes 3 token"):
+        Circuit("input x\nand g x\n")
+    with pytest.raises(NetlistError, match="line 1: undefined reference 'x'"):
+        Circuit("not g x\n")
+    assert Circuit(EQ_CLASSIFIER_SRC) == parse_netlist(EQ_CLASSIFIER_SRC)
+
+
+def test_columns_and_gates_view():
+    c = parse_netlist("input x\nconst k 1\nnot n x\nand g n k\noutput g\noutput x\n")
+    assert c.names == ("x", "k", "n", "g")
+    assert c.kinds == ("input", "const", "not", "and")
+    assert (c.first, c.second) == ((-1, -1, 0, 2), (-1, -1, -1, 1))
+    assert c.values == (None, 1, None, None)
+    assert (c.inputs, c.outputs) == (("x",), ("g", "x"))
+    assert len(c.gates) == 4
+    assert list(c.gates) == [("x", INPUT, (), None), ("k", "const", (), 1),
+                             ("n", "not", ("x",), None), ("g", AND, ("n", "k"), None)]
+    assert c.gates[-1].args == ("n", "k")
+    with pytest.raises(IndexError):
+        c.gates[4]
+    with pytest.raises(AttributeError):
+        c.names = ()
+
+
+def test_every_circuit_runs_the_checked_constructor_once(monkeypatch):
+    """A wrapper on Circuit.__post_init__, the way the benchmark's spans
+    wrap it, runs once per Circuit each builder returns."""
+    built = []
+    post_init = Circuit.__post_init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        return post_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Circuit, "__post_init__", counted)
+    tm = parse_tm(fixture_text("contains_one.tm"))
+    b = parse_netlist(EQ_CLASSIFIER_SRC)
+    for build in (lambda: parse_netlist("input x\nnot n x\noutput n\n"),
+                  lambda: compile_tm(tm, 2, 4),
+                  lambda: compile_tm_flattened(tm, 2, 4),
+                  lambda: dual_rail_transform(b),
+                  lambda: build_eq_classifier(1),
+                  lambda: build_eq_classifier(3)):
+        built.clear()
+        c = build()
+        assert len(built) == 1 and built[0] is c

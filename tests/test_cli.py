@@ -6,13 +6,13 @@ import tracemalloc
 
 import pytest
 
-from railcirc import (CONST, NOT, RAIL_SEPARATOR, Circuit, Gate, compile_tm,
-                      compile_tm_flattened, dual_rail_transform, emit_netlist,
-                      flatten_bits, parse_netlist, parse_tm, stats)
+from railcirc import (RAIL_SEPARATOR, compile_tm, compile_tm_flattened,
+                      dual_rail_transform, emit_netlist, flatten_bits,
+                      parse_netlist, parse_tm, stats)
 from railcirc.cli import main
 from railcirc.dualrail import _BLOCK
 
-from helpers import FIXTURES, fixture_text, messy_netlist, random_circuit
+from helpers import FIXTURES, fixture_text, gate_lines, messy_netlist, random_circuit
 
 CONTAINS_ONE = str(FIXTURES / "contains_one.tm")
 EQ_NOT = str(FIXTURES / "eq_not.net")
@@ -59,6 +59,19 @@ def test_compile_tm_gate_cap(capsys):
     assert main(["--gate-cap", "50", "compile-tm", CONTAINS_ONE,
                  "-n", "2", "-t", "4"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_successive_calls_share_no_state(capsys):
+    # the parser is built once; a flag given to one call does not stick
+    argv = ["compile-tm", CONTAINS_ONE, "-n", "2", "-t", "4"]
+    assert main(["--gate-cap", "5", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    machine = parse_tm(fixture_text("contains_one.tm"))
+    assert captured.out == emit_netlist(compile_tm(machine, 2, 4))
 
 
 @pytest.mark.parametrize("flattened", [False, True], ids=["raw", "flattened"])
@@ -243,9 +256,10 @@ def test_flatten_matches_the_library_rewrite(tmp_path, capsys):
     for i in range(60):
         b = random_circuit(rng, max_inputs=6, max_gates=30)
         # a const, NOT of NOT, NOTs as outputs and a repeated output
-        gates = ((Gate("k", CONST, value=rng.randint(0, 1)),) + b.gates
-                 + (Gate("n1", NOT, (b.gates[-1].name,)), Gate("n2", NOT, ("n1",))))
-        c = Circuit(gates, b.outputs + ("n1", "k", "n2", b.outputs[0]))
+        c = parse_netlist(
+            f"const k {rng.randint(0, 1)}\n{gate_lines(b)}not n1 {b.names[-1]}\n"
+            f"not n2 n1\n" + "".join(f"output {o}\n" for o in
+                                    b.outputs + ("n1", "k", "n2", b.outputs[0])))
         text = messy_netlist(rng, c, early_outputs=True)
         assert "\r\n" in text and "#" in text and "\t" in text
         src = tmp_path / f"c{i}.net"
