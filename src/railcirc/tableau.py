@@ -56,10 +56,11 @@ on the input: parity at n=6 has depth 16 at both t=24 and t=64.
 
 The compile builds no Gate and no Circuit: ``compile_netlist`` writes each
 gate as its canonical netlist line, the text ``emit_netlist`` would write,
-and refuses a name defined twice or an operand read before its definition
-as the line is written.  ``railcirc compile-tm`` writes that text as it is;
-``compile_tm`` and ``compile_tm_flattened`` parse it with ``parse_netlist``,
-the one netlist scanner, so the library reads the bytes the CLI writes.
+and keeps no set of the names it has written.  ``railcirc compile-tm``
+writes that text as it is; ``compile_tm`` and ``compile_tm_flattened``
+parse it with ``parse_netlist``, and every subcommand reads a netlist file
+through the same scanner, ``read_netlist``, the one place a name defined
+twice or an operand read before its definition is refused.
 
 Wire naming contract: the one-hot wire for symbol index k of cell (r, c) is
 ``c_{r}_{c}_{k}``, with k indexing ``cell_alphabet(tm)``.  These names are
@@ -74,8 +75,8 @@ from itertools import groupby, product
 from typing import NamedTuple, Union
 
 from .bitsim import wire_values
-from .circuit import AND, CONST, OR, Circuit, NetlistError, parse_netlist
-from .tm import BLANK, LEFT, RIGHT, TuringMachine
+from .circuit import AND, CONST, OR, Circuit, parse_netlist
+from .tm import BLANK, LEFT, RIGHT, TuringMachine, initial_configuration
 
 CellSymbol = Union[str, tuple[str, str]]
 
@@ -92,9 +93,9 @@ DEFAULT_GATE_CAP = 10_000_000
 # = 2S + 4P - A <= 4 * len(alphabet) - 2S, and folding only removes gates.
 # Row 0 takes len(alphabet) gates per cell; the inputs and the accept OR fit
 # in the rest of row 0's share.
-# Measured peak over the fixtures and 330 generated machines with up to 8
-# working states: 1.47 (2.17 unfolded); over the fixtures alone 1.25
-# (contains_one, n=8, t=7).
+# Measured peak over both fixtures at every n <= t + 1 <= 25: 1.24
+# (contains_one, n=25, t=24); over 4 x 330 generated machines with 1 to 8
+# working states, n <= 6, t <= 16: 1.46.
 SIZE_COEFF = 4
 
 
@@ -160,9 +161,9 @@ class _Cell(NamedTuple):
     aside.  sym: whether it reads its left and its right neighbor's sym_
     tree.  ops: (slot, label, op, operand slots) per gate or OR tree it
     builds, in order.  Label k names wire c_r_c_k, a prefix names
-    prefix_{r-1}_c, and None an OR-tree node.  A run of consts, of
-    distinct wires, is one op (None, None, CONST, their netlist lines),
-    with @ for the cell's c_r_c_ prefix.
+    prefix_{r-1}_c, and None an OR-tree node.  A run of consts is one op
+    (None, None, CONST, their netlist lines), with @ for the cell's c_r_c_
+    prefix.
     """
 
     tags: bytes
@@ -383,20 +384,11 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
     if total > gate_cap:
         raise GateCapError(f"{total} gates exceed the cap of {gate_cap}")
 
-    # Each gate is written as its canonical netlist line.  The kinds, arities
-    # and name shapes are this builder's literals; what a Circuit would still
-    # catch, a name defined twice or an operand read before its definition,
-    # is refused as the line is written.  The input names are distinct.
+    # Each gate is written as its canonical netlist line, unchecked: the
+    # names are distinct by construction, and read_netlist, the one scanner,
+    # refuses a name defined twice or an operand read before its definition
+    # wherever the text is read.
     lines = inputs
-    defined = {*zero_rail, *one_rail}
-
-    def define(name: str, *operands: str) -> str:
-        if name in defined or not defined.issuperset(operands):
-            raise NetlistError(f"gate {name!r} is defined twice or reads a "
-                               f"wire not defined above")
-        defined.add(name)
-        return name
-
     aux = 0
 
     def or_tree(leaves: list[tuple[int, str]], name: str) -> tuple[int, str]:
@@ -406,7 +398,7 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
         nonlocal aux
         if len(leaves) == 1:
             a = leaves[0][1]
-            lines.append(f"or {define(name, a)} {a} {a}")
+            lines.append(f"or {name} {a} {a}")
             return leaves[0]
         if len(leaves) > 2:
             heapify(leaves)
@@ -415,10 +407,10 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
                 d, b = leaves[0]
                 node = f"t{aux}"
                 aux += 1
-                lines.append(f"or {define(node, a, b)} {a} {b}")
+                lines.append(f"or {node} {a} {b}")
                 heapreplace(leaves, (d + 1, node))
         (d, a), (e, b) = leaves
-        lines.append(f"or {define(name, a, b)} {a} {b}")
+        lines.append(f"or {name} {a} {b}")
         return max(d, e) + 1, name
 
     # wires[c][k]: the (depth, name) a reader of wire k of previous-row cell
@@ -431,8 +423,8 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
     for c in range(cols):
         names = [f"c_0_{c}_{k}" for k in range(na)]
         for name, v in zip(names, row0[c * na:(c + 1) * na]):
-            lines.append(f"or {define(name, v)} {v} {v}" if type(v) is str
-                         else f"const {define(name)} {v}")
+            lines.append(f"or {name} {v} {v}" if type(v) is str
+                         else f"const {name} {v}")
         wires.append([(0, name) for name in names])
 
     beyond = [None] * na  # the wires of a cell beyond the grid: never read
@@ -450,12 +442,7 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
             cell_prefix = f"c_{r}_{c}_"
             for slot, label, op, args in cell.ops:
                 if op == CONST:  # a run of lines "const NAME VALUE"
-                    text = args.replace("@", cell_prefix)
-                    names = text.split()[1::3]
-                    if not defined.isdisjoint(names):
-                        raise NetlistError(f"a name of {names} is defined twice")
-                    defined.update(names)
-                    lines.append(text)
+                    lines.append(args.replace("@", cell_prefix))
                     continue
                 if type(label) is int:
                     name = f"{cell_prefix}{label}"
@@ -466,7 +453,7 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
                     aux += 1
                 if op == AND:
                     (da, a), (db, b) = w[args[0]], w[args[1]]
-                    lines.append(f"and {define(name, a, b)} {a} {b}")
+                    lines.append(f"and {name} {a} {b}")
                     w[slot] = (max(da, db) + 1, name)
                 else:
                     w[slot] = or_tree([w[s] for s in args], name)
@@ -476,7 +463,7 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
     if accept:
         or_tree([wires[s // na][s % na] for s in accept], "accepted")
     else:
-        lines.append(f"const {define('accepted')} {int(accept is None)}")
+        lines.append(f"const accepted {int(accept is None)}")
     lines.append("output accepted\n")
     return "\n".join(lines)
 
@@ -496,9 +483,11 @@ def tableau_trace(circuit: Circuit, tm: TuringMachine, x: str,
 
     circuit is that compiled circuit, built once by the caller.  Row r
     equals the machine's configuration after r steps (frozen once it
-    halts).  Raises if any cell fails to be one-hot, which would mean the
-    construction itself is broken.
+    halts).  A symbol of x that is not a bit raises ValueError, as in
+    ``run``.  Raises RuntimeError if any cell fails to be one-hot, which
+    would mean the construction itself is broken.
     """
+    initial_configuration(tm, x)
     vals = wire_values(circuit, [int(ch) for ch in x])
     cells = cell_alphabet(tm)
     grid: list[list[CellSymbol]] = []

@@ -21,8 +21,6 @@ from .dualrail import non_bit, rail_block
 # whose width is what grows with the input.
 CONTROL_STATE_BITS = 2
 
-_INT_RAILS = {0: "10", 1: "01"}
-
 
 @dataclass(frozen=True)
 class TransducerStats:
@@ -35,14 +33,14 @@ def stream_flatten(source, sink) -> TransducerStats:
     """Flatten a bit stream into ``sink`` in one forward pass.
 
     Each item of ``source`` is either a ``str`` block of zero or more
-    '0'/'1' characters or a single int bit 0/1.  A ``str`` source is
-    already whole in memory, so it is one block, not one per character.  A
-    block is checked and encoded by ``dualrail.rail_block``, the encoder
-    ``flatten_bits`` uses, and goes to ``sink`` (anything with a ``write``
-    method taking str) in one write, before the next item is read.  A
-    symbol that is not a bit raises ValueError naming it and its position
-    in the stream, after the encoding of the bits before it in its block
-    has been written.
+    '0'/'1' characters or a single int bit 0/1, which is the block of its
+    character.  A ``str`` source is already whole in memory, so it is one
+    block, not one per character.  A block is checked and encoded by
+    ``dualrail.rail_block``, the encoder ``flatten_bits`` uses, and goes to
+    ``sink`` (anything with a ``write`` method taking str) in one write,
+    before the next item is read.  A symbol that is not a bit raises
+    ValueError naming it and its position in the stream, after the
+    encoding of the bits before it in its block has been written.
 
     ``peak_state_bits`` counts the read counter and the control only:
     ``reads.bit_length() + CONTROL_STATE_BITS``.  The counter only grows,
@@ -53,17 +51,13 @@ def stream_flatten(source, sink) -> TransducerStats:
     write = sink.write
     reads = 0
     for item in source:
-        if isinstance(item, str):
-            rails, bad = rail_block(item)
-            write(rails)
-            if bad >= 0:
-                raise non_bit(item[bad], reads + bad)
-            reads += len(item)
-            continue
-        try:
-            rails = _INT_RAILS[item]
-        except (KeyError, TypeError):  # TypeError: an unhashable symbol
-            raise non_bit(item, reads) from None
+        if not isinstance(item, str):
+            if item not in (0, 1):
+                raise non_bit(item, reads)
+            item = "1" if item else "0"
+        rails, bad = rail_block(item)
         write(rails)
-        reads += 1
+        if bad >= 0:
+            raise non_bit(item[bad], reads + bad)
+        reads += len(item)
     return TransducerStats(reads, 2 * reads, reads.bit_length() + CONTROL_STATE_BITS)

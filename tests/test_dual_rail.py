@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import railcirc.dualrail as dualrail
 from railcirc import (FLATTENED, NOT, RAIL_SEPARATOR, build_eq_classifier,
                       dual_rail_transform, emit_netlist, evaluate,
                       exhaustive_equiv, flatten_bits,
@@ -212,6 +213,19 @@ def test_rail_complement_names_a_missing_rail():
     m = parse_netlist("input x__0\ninput x__1\ninput y__0\ninput y__1\n"
                       "and g__1 x__1 y__1\noutput g__1\n")
     with pytest.raises(ValueError, match="circuit defines no wire 'a__0'"):
+        validate_rail_complement(b, m)
+
+
+def test_rail_complement_refuses_13_inputs_before_evaluating(monkeypatch):
+    b = parse_netlist("".join(f"input x{i}\n" for i in range(13)) + "output x0\n")
+    m = dual_rail_transform(b)
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("evaluated a circuit of 13 inputs")
+
+    monkeypatch.setattr(dualrail, "rail_map", evaluated)
+    monkeypatch.setattr(dualrail, "evaluate_masks", evaluated)
+    with pytest.raises(ValueError, match="max 12 inputs"):
         validate_rail_complement(b, m)
 
 

@@ -11,7 +11,8 @@ from railcirc import (ACCEPT, AND, BLANK, CONST, FLATTENED, INPUT, NOT, OR,
                       GateCapError, TIMEOUT, cell_alphabet, compile_tm,
                       compile_tm_flattened, config_cells, emit_netlist,
                       evaluate, exhaustive_equiv, initial_configuration,
-                      parse_tm, run, stats, step, tableau_trace, wire_values)
+                      parse_netlist, parse_tm, run, stats, step, tableau_trace,
+                      wire_values)
 from railcirc.bitsim import evaluate_masks, full_mask, input_masks
 from railcirc.cli import main
 from railcirc.tableau import SIZE_COEFF
@@ -93,6 +94,30 @@ def test_trace_rows_match_simulator_configurations():
                     conf = step(tm, conf)
                 # else: halted rows repeat verbatim, which the grid
                 # comparison above keeps checking row after row
+
+
+@pytest.mark.parametrize("x", ["\uff11", "a", "0\u0661"],
+                         ids=["fullwidth-one", "letter", "arabic-indic-one"])
+def test_trace_rejects_a_non_bit_as_run_does(x):
+    # int() reads a fullwidth or Arabic-Indic digit as a bit; run() does not
+    tm = parse_tm(fixture_text("parity.tm"))
+    c = compile_tm(tm, len(x), 2)
+    message = f"^input symbol {x[-1]!r} is not a bit$"
+    with pytest.raises(ValueError, match=message):
+        run(tm, x, 2)
+    with pytest.raises(ValueError, match=message):
+        tableau_trace(c, tm, x, 2)
+
+
+def test_trace_names_a_cell_that_is_not_one_hot():
+    # cell (0, 2) lies past the input: all consts, the blank alone set
+    tm = parse_tm(fixture_text("parity.tm"))
+    text = emit_netlist(compile_tm(tm, 1, 2))
+    assert "const c_0_2_0 0\n" in text
+    broken = parse_netlist(text.replace("const c_0_2_0 0\n", "const c_0_2_0 1\n"))
+    with pytest.raises(RuntimeError,
+                       match=r"^cell \(0, 2\) is not one-hot: 2 wires set$"):
+        tableau_trace(broken, tm, "1", 2)
 
 
 def test_circuit_agrees_with_simulator_pointwise():

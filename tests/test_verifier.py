@@ -225,3 +225,11 @@ def test_size_report():
     assert r.target_gates == len(m.gates)
     assert r.ratio == len(m.gates) / 7
     assert r.ratio <= 2.0
+
+
+def test_size_report_of_a_source_with_no_gates():
+    empty = parse_netlist("")
+    assert size_report(empty, empty).ratio == 1.0
+    r = size_report(empty, parse_netlist("const k 1\noutput k\n"))
+    assert (r.source_gates, r.target_gates) == (0, 1)
+    assert r.ratio == float("inf")
