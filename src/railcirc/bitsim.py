@@ -47,13 +47,6 @@ def assignment_of_index(i: int, n: int) -> tuple[int, ...]:
     return tuple((i >> (n - 1 - j)) & 1 for j in range(n))
 
 
-def index_of_assignment(bits) -> int:
-    i = 0
-    for b in bits:
-        i = (i << 1) | b
-    return i
-
-
 def lowest_set_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 

@@ -321,17 +321,13 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
                      tuple(blocks))
 
     # Beyond either end of the grid: no head, so the grid edges count as
-    # symbols and send no head in.
+    # symbols and send no head in.  A row is padded with them once, and cell
+    # c's window is then the slice of padded cells c..c+2.
     edge = bytes(na)
     shapes: dict[tuple[bool, bytes], _Cell] = {}
 
-    def shape(prev: bytes, c: int) -> _Cell:
-        if c == 0:
-            win = edge + prev[:2 * na]
-        elif c == t:
-            win = prev[(c - 1) * na:] + edge
-        else:
-            win = prev[(c - 1) * na:(c + 2) * na]
+    def shape(padded: bytes, c: int) -> _Cell:
+        win = padded[c * na:(c + 3) * na]
         cell = shapes.get((c == 0, win))
         if cell is None:
             cell = shapes[(c == 0, win)] = fold(c == 0, win)
@@ -360,23 +356,22 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
         rails = {zero: zero_rail[c], one: one_rail[c]} if c < n else {}
         row0 += [rails.get(e, int(c >= n and e == blank)) for e in cells]
 
-    # Tag pass: the tags of every row, and the exact gate count, before any
-    # gate is built.  Every cell of rows 1..t folds by its window.  The
-    # count: one gate per input, input NOT and row-0 wire, each cell's
-    # fold, the sym_ trees the cells read, and the accept tree.
-    rows = [bytes(_X if type(v) is str else v for v in row0)]
+    # Tag pass: the exact gate count before any gate is built, keeping the
+    # tags of the previous row only.  Every cell of rows 1..t folds by its
+    # window.  The count: one gate per input, input NOT and row-0 wire, each
+    # cell's fold, the sym_ trees the cells read, and the accept tree.
+    last = bytes(_X if type(v) is str else v for v in row0)
     folds = []  # per row 1..t: its cells and the sym_ columns they read
     total = 2 * n + cols * na
-    for r in range(1, t + 1):
-        prev = rows[-1]
-        row = [shape(prev, c) for c in range(cols)]
+    for _ in range(t):
+        padded = edge + last + edge
+        row = [shape(padded, c) for c in range(cols)]
         read = sorted({c + d for c, cell in enumerate(row)
                        for d, reads in zip((-1, 1), cell.sym) if reads})
         total += (sum(cell.cost for cell in row)
-                  + sum(prev[c * na:c * na + n_sym].count(_X) - 1 for c in read))
-        rows.append(b"".join([cell.tags for cell in row]))
+                  + sum(last[c * na:c * na + n_sym].count(_X) - 1 for c in read))
+        last = b"".join([cell.tags for cell in row])
         folds.append((row, read))
-    last = rows[-1]
     accept = _or_leaves([(_ZERO, _ONE, s)[last[s]] for s in
                          (c * na + index[(tm.accept, s)] for c in range(cols)
                           for s in tm.alphabet)])
@@ -413,32 +408,33 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
         lines.append(f"or {name} {a} {b}")
         return max(d, e) + 1, name
 
-    # wires[c][k]: the (depth, name) a reader of wire k of previous-row cell
-    # c reads, None for a const.  A wire that folds to one other wire is a
-    # buffer of it for the naming contract, and its readers read the other
-    # wire, so a cell the head never reaches reads row 0.  Depths count from
-    # row 0, so that the raw and the flattened compile shape their trees
-    # alike.
-    wires: list[list] = []
-    for c in range(cols):
-        names = [f"c_0_{c}_{k}" for k in range(na)]
-        for name, v in zip(names, row0[c * na:(c + 1) * na]):
-            lines.append(f"or {name} {v} {v}" if type(v) is str
-                         else f"const {name} {v}")
-        wires.append([(0, name) for name in names])
+    # wires[c * na + k]: the (depth, name) a reader of wire k of
+    # previous-row cell c reads, None for a const.  A wire that folds to one
+    # other wire is a buffer of it for the naming contract, and its readers
+    # read the other wire, so a cell the head never reaches reads row 0.
+    # Depths count from row 0, so that the raw and the flattened compile
+    # shape their trees alike.
+    wires: list = []
+    for i, v in enumerate(row0):
+        name = f"c_0_{i // na}_{i % na}"
+        lines.append(f"or {name} {v} {v}" if type(v) is str
+                     else f"const {name} {v}")
+        wires.append((0, name) if type(v) is str else None)
 
     beyond = [None] * na  # the wires of a cell beyond the grid: never read
+    unset = [None] * (tmp + 1 - nh)  # slots nh..tmp before the cell is built
     for r, (row, read) in enumerate(folds, 1):
         pr = r - 1
-        sym = {c: or_tree([wires[c][k] for k in range(n_sym)
-                           if rows[pr][c * na + k] == _X], f"sym_{pr}_{c}")
+        sym = {c: or_tree([v for v in wires[c * na:c * na + n_sym] if v],
+                          f"sym_{pr}_{c}")
                for c in read}
 
-        row_wires = []
+        padded = beyond + wires + beyond
+        wires = []
         for c, cell in enumerate(row):
-            w = ((wires[c - 1] if c else beyond) + wires[c]
-                 + (wires[c + 1] if c < t else beyond)
-                 + [sym.get(c - 1), sym.get(c + 1)] + [None] * (tmp + 1 - nh))
+            w = padded[c * na:(c + 3) * na]
+            w += sym.get(c - 1), sym.get(c + 1)
+            w += unset
             cell_prefix = f"c_{r}_{c}_"
             for slot, label, op, args in cell.ops:
                 if op == CONST:  # a run of lines "const NAME VALUE"
@@ -457,11 +453,10 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
                     w[slot] = (max(da, db) + 1, name)
                 else:
                     w[slot] = or_tree([w[s] for s in args], name)
-            row_wires.append(w[t0:tmp])
-        wires = row_wires
+            wires += w[t0:tmp]
 
     if accept:
-        or_tree([wires[s // na][s % na] for s in accept], "accepted")
+        or_tree([wires[s] for s in accept], "accepted")
     else:
         lines.append(f"const accepted {int(accept is None)}")
     lines.append("output accepted\n")
@@ -484,10 +479,13 @@ def tableau_trace(circuit: Circuit, tm: TuringMachine, x: str,
     circuit is that compiled circuit, built once by the caller.  Row r
     equals the machine's configuration after r steps (frozen once it
     halts).  A symbol of x that is not a bit raises ValueError, as in
-    ``run``.  Raises RuntimeError if any cell fails to be one-hot, which
-    would mean the construction itself is broken.
+    ``run``, and so does a t that is not the circuit's step budget.  Raises
+    RuntimeError if any cell fails to be one-hot, which would mean the
+    construction itself is broken.
     """
     initial_configuration(tm, x)
+    if f"c_{t}_{t}_0" not in circuit or f"c_{t + 1}_0_0" in circuit:
+        raise ValueError(f"circuit is not compiled for a step budget of {t}")
     vals = wire_values(circuit, [int(ch) for ch in x])
     cells = cell_alphabet(tm)
     grid: list[list[CellSymbol]] = []

@@ -32,10 +32,10 @@ class TransducerStats:
 def stream_flatten(source, sink) -> TransducerStats:
     """Flatten a bit stream into ``sink`` in one forward pass.
 
-    Each item of ``source`` is either a ``str`` block of zero or more
-    '0'/'1' characters or a single int bit 0/1, which is the block of its
-    character.  A ``str`` source is already whole in memory, so it is one
-    block, not one per character.  A block is checked and encoded by
+    Each item of ``source`` is a ``str`` block of zero or more '0'/'1'
+    characters; any other item is a non-bit and raises ValueError naming
+    it.  A ``str`` source is already whole in memory, so it is one block,
+    not one per character.  A block is checked and encoded by
     ``dualrail.rail_block``, the encoder ``flatten_bits`` uses, and goes to
     ``sink`` (anything with a ``write`` method taking str) in one write,
     before the next item is read.  A symbol that is not a bit raises
@@ -52,9 +52,7 @@ def stream_flatten(source, sink) -> TransducerStats:
     reads = 0
     for item in source:
         if not isinstance(item, str):
-            if item not in (0, 1):
-                raise non_bit(item, reads)
-            item = "1" if item else "0"
+            raise non_bit(item, reads)
         rails, bad = rail_block(item)
         write(rails)
         if bad >= 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsim import (assignment_of_index, evaluate_masks, full_mask,
-                     index_of_assignment, input_masks, lowest_set_bit, rail_masks)
+                     input_masks, lowest_set_bit, rail_masks)
 from .circuit import Circuit, stats
 from .reports import EQUIVALENCE, MONOTONICITY, CounterexampleReport
 
@@ -108,27 +108,23 @@ def eq_truth_table(pairs: int) -> TruthTable:
     return TruthTable(n, tuple(bits))
 
 
-_REFUTE_CHAINS = {
-    1: ((0, 0), (0, 1), (1, 1)),
-    2: ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1)),
-}
-
-
 def refute_eq_monotone(n: int = 1) -> CounterexampleReport:
     """Show that equality on n-bit words is not a monotone function.
 
-    Confirms equality is absent from the census, then certifies why with an
-    increasing witness chain bottom <= mid <= top on which equality takes
-    values 1, 0, 1: any monotone function agreeing at the ends is forced to
-    1 at the midpoint, where equality is 0.
+    The witness is an increasing chain bottom <= mid <= top over the two
+    words, first word then second: both words zero, then the second word's
+    last bit raised, then the first word's too.  Equality takes values
+    1, 0, 1 on it, and any monotone function valued 1 at both ends is
+    forced to 1 at the midpoint, where equality is 0.  The chain certifies
+    the result on its own: re-evaluating equality on it reproduces
+    ``observed``.
     """
-    if n not in _REFUTE_CHAINS:
+    if n not in (1, 2):
         raise ValueError("refutation supports word widths 1 and 2")
-    eq = eq_truth_table(n)
-    if eq in enumerate_monotone_functions(2 * n):
-        raise RuntimeError("equality unexpectedly passed the monotone filter")
-    chain = _REFUTE_CHAINS[n]
-    observed = tuple(eq.bits[index_of_assignment(a)] for a in chain)
+    bottom = (0,) * (2 * n)
+    mid = bottom[:-1] + (1,)
+    chain = (bottom, mid, mid[:n - 1] + (1,) + mid[n:])
+    observed = tuple(int(a[:n] == a[n:]) for a in chain)
     return CounterexampleReport(
         kind=MONOTONICITY,
         witness=chain,

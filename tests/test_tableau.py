@@ -15,7 +15,7 @@ from railcirc import (ACCEPT, AND, BLANK, CONST, FLATTENED, INPUT, NOT, OR,
                       wire_values)
 from railcirc.bitsim import evaluate_masks, full_mask, input_masks
 from railcirc.cli import main
-from railcirc.tableau import SIZE_COEFF
+from railcirc.tableau import DEFAULT_GATE_CAP, SIZE_COEFF, compile_netlist
 
 from helpers import FIXTURES, fixture_text, one_hot_report
 
@@ -118,6 +118,15 @@ def test_trace_names_a_cell_that_is_not_one_hot():
     with pytest.raises(RuntimeError,
                        match=r"^cell \(0, 2\) is not one-hot: 2 wires set$"):
         tableau_trace(broken, tm, "1", 2)
+
+
+@pytest.mark.parametrize("t", [2, 5], ids=["below-budget", "above-budget"])
+def test_trace_rejects_a_budget_the_circuit_was_not_compiled_for(t):
+    tm = parse_tm(fixture_text("parity.tm"))
+    c = compile_tm(tm, 2, 3)
+    with pytest.raises(ValueError,
+                       match=f"^circuit is not compiled for a step budget of {t}$"):
+        tableau_trace(c, tm, "01", t)
 
 
 def test_circuit_agrees_with_simulator_pointwise():
@@ -442,6 +451,31 @@ def test_netlists_match_recorded_digests():
         got = tuple(hashlib.sha256(emit_netlist(compile_(tm, n, t)).encode())
                     .hexdigest() for compile_ in (compile_tm, compile_tm_flattened))
         assert got == digests, (name, n, t)
+
+
+# sha256 over compile_netlist's raw, then flattened, text of each of 40
+# generated machines, n and t drawn as in
+# test_fold_is_complete_on_generated_machines.  Like NETLIST_DIGESTS it is
+# re-recorded only by a change that alters the construction on purpose.
+GENERATED_DIGEST = "82682e8d984f04169ec4b79d4dfb42364681bc53b6e3433c5912536f1073200d"
+
+
+def test_generated_netlists_match_recorded_digest():
+    rng = random.Random(2018)
+    digest = hashlib.sha256()
+    dims = []
+    for _ in range(40):
+        tm = _random_machine(rng)
+        n = rng.randint(0, 5)
+        t = rng.randint(max(1, n - 1), 12)
+        dims.append((n, t))
+        for flattened in (False, True):
+            text = compile_netlist(tm, n, t, flattened, DEFAULT_GATE_CAP)
+            digest.update(text.encode())
+    # the grid's edges are covered: a one-step budget, and an input that
+    # reaches the last column
+    assert any(t == 1 for _, t in dims) and any(n == t + 1 for n, t in dims)
+    assert digest.hexdigest() == GENERATED_DIGEST
 
 
 def test_cli_writes_the_recorded_bytes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Streaming flattener: single pass, interleaving, logarithmic state."""
 
 import random
+import re
 
 import pytest
 
@@ -54,10 +55,14 @@ def test_str_source_is_one_block():
     assert sink.chunks == ["10010110"]
 
 
-def test_accepts_int_bits():
-    sink = RecordingSink()
-    stream_flatten([0, 1, 1, 0], sink)
-    assert sink.text == "10010110"
+def test_refuses_number_items():
+    # an item is a str block; a number equal to a bit is not one
+    for bad in (0, 1, True, False, 0.0, 1.0):
+        sink = RecordingSink()
+        message = f"^non-bit symbol {re.escape(repr(bad))} at position 0$"
+        with pytest.raises(ValueError, match=message):
+            stream_flatten([bad, "1"], sink)
+        assert sink.chunks == [], bad
 
 
 def test_source_consumed_in_one_forward_pass():
@@ -131,7 +136,7 @@ def test_peak_is_exact_across_powers_of_two():
 def test_rejects_each_non_bit_after_writing_the_prefix(bad):
     sink = RecordingSink()
     with pytest.raises(ValueError, match="non-bit"):
-        stream_flatten(["1", 0, bad, "0"], sink)
+        stream_flatten(["1", "0", bad, "0"], sink)
     assert sink.text == "0110"
 
 
@@ -193,4 +198,4 @@ def test_empty_block_reads_nothing():
     sink = RecordingSink()
     assert stream_flatten([""], sink) == TransducerStats(0, 0, CONTROL_STATE_BITS)
     assert sink.text == ""
-    assert stream_flatten(["", 1, ""], sink) == TransducerStats(1, 2, 3)
+    assert stream_flatten(["", "1", ""], sink) == TransducerStats(1, 2, 3)
