@@ -12,10 +12,10 @@ import argparse
 import functools
 import sys
 
-from .circuit import NetlistError, emit_dot, parse_netlist, stats
+from .circuit import emit_dot, parse_netlist, stats
 from .dualrail import dual_rail_netlist, flatten_bits
 from .tableau import DEFAULT_GATE_CAP, compile_netlist
-from .tm import TMError, parse_tm
+from .tm import parse_tm
 from .transducer import stream_flatten
 from .verify import (FLATTENED, RAW, check_semantic_monotone,
                      enumerate_monotone_functions, exhaustive_equiv,
@@ -52,25 +52,22 @@ def _cmd_flatten(args) -> int:
     return 0
 
 
+def _verdict(report, holds: str) -> int:
+    """Print holds and return 0 if there is no report, else its line and 1."""
+    print(holds if report is None else report.to_line())
+    return int(report is not None)
+
+
 def _cmd_verify_equiv(args) -> int:
     b = parse_netlist(_read(args.source))
     m = parse_netlist(_read(args.target))
-    report = exhaustive_equiv(b, m, FLATTENED if args.flattened else RAW)
-    if report is None:
-        print("equivalent")
-        return 0
-    print(report.to_line())
-    return 1
+    return _verdict(exhaustive_equiv(b, m, FLATTENED if args.flattened else RAW),
+                    "equivalent")
 
 
 def _cmd_verify_monotone(args) -> int:
     circuit = parse_netlist(_read(args.circuit))
-    report = check_semantic_monotone(circuit)
-    if report is None:
-        print("monotone")
-        return 0
-    print(report.to_line())
-    return 1
+    return _verdict(check_semantic_monotone(circuit), "monotone")
 
 
 def _cmd_verify_census(args) -> int:
@@ -192,7 +189,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (NetlistError, TMError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,6 +70,7 @@ arrive guards and the OR-tree nodes among them) are unspecified.
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heapify, heappop, heapreplace
 from itertools import groupby, product
 from typing import NamedTuple, Union
@@ -196,7 +197,7 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
     # head pairs whose step leaves target k on the head's own cell, away from
     # and at the wall; a left move at the wall keeps the head in place, so
     # the pair survives.
-    here = {False: [[] for _ in range(na)], True: [[] for _ in range(na)]}
+    here = ([[] for _ in range(na)], [[] for _ in range(na)])
     # enter_from_left / enter_from_right: (head pair on the left/right
     # neighbor, the state that arrives on the cell, or None if it stays away)
     enter_from_left: list[tuple[int, str | None]] = []
@@ -244,11 +245,13 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
     t0 = g0 + len(guards)
     tmp = t0 + na
 
-    def fold(wall: bool, win: bytes) -> _Cell:
+    @cache
+    def fold(win: bytes) -> _Cell:
         """Fold the cell by the rule of _or_leaves and _and_value, and by
         one-hotness: a neighbor whose head pairs are all const 0 holds a
         plain symbol.  What folds to a single wire is that wire; an
         internal wire that no built gate reads is not built."""
+        wall = not any(win[:na])
         val = [(_ZERO, _ONE, slot)[tag] for slot, tag in enumerate(win)]
         val += [_ZERO] * (3 + len(guards))
         trees: dict[int, list[int]] = {}
@@ -322,16 +325,10 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
 
     # Beyond either end of the grid: no head, so the grid edges count as
     # symbols and send no head in.  A row is padded with them once, and cell
-    # c's window is then the slice of padded cells c..c+2.
+    # c's window is then the slice of padded cells c..c+2.  The edge's tags
+    # are all const 0 and a grid cell's never are, as cells are one-hot, so
+    # a window whose left cell is all const 0 is one at the wall.
     edge = bytes(na)
-    shapes: dict[tuple[bool, bytes], _Cell] = {}
-
-    def shape(padded: bytes, c: int) -> _Cell:
-        win = padded[c * na:(c + 3) * na]
-        cell = shapes.get((c == 0, win))
-        if cell is None:
-            cell = shapes[(c == 0, win)] = fold(c == 0, win)
-        return cell
 
     # Input layer.  Standard mode spends the circuit's only NOT gates on the
     # complements of the inputs; flattened mode takes them as inputs instead.
@@ -365,7 +362,7 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
     total = 2 * n + cols * na
     for _ in range(t):
         padded = edge + last + edge
-        row = [shape(padded, c) for c in range(cols)]
+        row = [fold(padded[c * na:(c + 3) * na]) for c in range(cols)]
         read = sorted({c + d for c, cell in enumerate(row)
                        for d, reads in zip((-1, 1), cell.sym) if reads})
         total += (sum(cell.cost for cell in row)
@@ -479,15 +476,17 @@ def tableau_trace(circuit: Circuit, tm: TuringMachine, x: str,
     circuit is that compiled circuit, built once by the caller.  Row r
     equals the machine's configuration after r steps (frozen once it
     halts).  A symbol of x that is not a bit raises ValueError, as in
-    ``run``, and so does a t that is not the circuit's step budget.  Raises
-    RuntimeError if any cell fails to be one-hot, which would mean the
-    construction itself is broken.
+    ``run``, and so does a t or a machine the circuit is not compiled for.
+    Raises RuntimeError if any cell fails to be one-hot, which would mean
+    the construction itself is broken.
     """
     initial_configuration(tm, x)
     if f"c_{t}_{t}_0" not in circuit or f"c_{t + 1}_0_0" in circuit:
         raise ValueError(f"circuit is not compiled for a step budget of {t}")
-    vals = wire_values(circuit, [int(ch) for ch in x])
     cells = cell_alphabet(tm)
+    if f"c_0_0_{len(cells) - 1}" not in circuit or f"c_0_0_{len(cells)}" in circuit:
+        raise ValueError(f"circuit is not compiled for {len(cells)} cell symbols")
+    vals = wire_values(circuit, [int(ch) for ch in x])
     grid: list[list[CellSymbol]] = []
     for r in range(t + 1):
         row: list[CellSymbol] = []

@@ -68,7 +68,9 @@ def parse_tm(text: str) -> TuringMachine:
     delta: dict[tuple[str, str], tuple[str, str, str]] = {}
     delta_lines: list[tuple[int, str, str, str, str, str]] = []
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    # lines end at \n, \r\n or a lone \r, as a netlist's do
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

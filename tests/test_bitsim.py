@@ -96,6 +96,13 @@ def test_unknown_wire_is_named():
         evaluate_masks(c, input_masks(1), full_mask(1), ("g", "ghost"))
 
 
+def test_wrong_mask_count_is_refused():
+    c = parse_netlist("input x\ninput y\nand g x y\noutput g\n")
+    with pytest.raises(ValueError,
+                       match="^3 input masks supplied, circuit has 2 inputs$"):
+        evaluate_masks(c, input_masks(3), full_mask(3))
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:

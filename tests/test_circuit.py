@@ -307,6 +307,8 @@ def test_stats_depth_chain():
 def test_emit_dot_counts():
     dot = emit_dot(parse_netlist("input x\noutput x\n"))
     assert dot.count(" [") == 1 and dot.count(" -> ") == 0
+    dot = emit_dot(parse_netlist("const k 1\noutput k\n"))
+    assert '  "k" [shape=diamond, label="k=1", peripheries=2];' in dot
     dot = emit_dot(parse_netlist(EQ_CLASSIFIER_SRC))
     assert dot.count(" [") == 7 and dot.count(" -> ") == 6
     assert dot.startswith("digraph circuit {")

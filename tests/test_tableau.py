@@ -129,6 +129,18 @@ def test_trace_rejects_a_budget_the_circuit_was_not_compiled_for(t):
         tableau_trace(c, tm, "01", t)
 
 
+@pytest.mark.parametrize("compiled, decoded", [("contains_one.tm", "parity.tm"),
+                                               ("parity.tm", "contains_one.tm")])
+def test_trace_rejects_a_machine_the_circuit_was_not_compiled_for(compiled, decoded):
+    # parity's cells take 18 symbols, contains_one's 12
+    c = compile_tm(parse_tm(fixture_text(compiled)), 2, 3)
+    tm = parse_tm(fixture_text(decoded))
+    na = len(cell_alphabet(tm))
+    with pytest.raises(ValueError,
+                       match=f"^circuit is not compiled for {na} cell symbols$"):
+        tableau_trace(c, tm, "01", 3)
+
+
 def test_circuit_agrees_with_simulator_pointwise():
     tm = parse_tm(fixture_text("contains_one.tm"))
     c = compile_tm(tm, 3, 5)

@@ -52,6 +52,39 @@ def test_parse_errors():
         parse_tm(base.replace("-> qr", "qr"))
 
 
+_CONTAINS_ONE = fixture_text("contains_one.tm")
+
+
+@pytest.mark.parametrize("old, new, line, message", [
+    ("", "q0 0 -> q0 0 R\n", 11, "expected 'key: value'"),
+    ("states: q0 qa qr", "states:", 3, "empty state list"),
+    ("states: q0 qa qr", "states: q0 qa q0", 3, "repeated state name"),
+    ("alphabet: 0 1 _", "alphabet: 0 1 _ 1", 4, "repeated symbol"),
+    ("accept: qa", "accept: qa qr", 6, "accept takes exactly one state"),
+    ("", "delta: q0 0 -> q0 0\n", 11, "delta format is: q s -> q' s' (L|R)"),
+    ("", "halt: qa\n", 11, "unknown directive 'halt'"),
+    ("start: q0", "start: qz", None, "start state 'qz' not declared"),
+    ("-> q0 0 R", "-> qz 0 R", 8, "unknown state 'qz'"),
+    ("-> q0 0 R", "-> q0 2 R", 8, "unknown symbol in delta"),
+], ids=["no-key", "empty-states", "repeated-state", "repeated-symbol",
+        "two-accept-states", "delta-format", "unknown-directive",
+        "undeclared-role", "unknown-target", "unknown-symbol"])
+def test_parse_rejection_names_message_and_line(old, new, line, message):
+    # an empty old appends new as line 11, after the fixture's ten lines
+    text = _CONTAINS_ONE.replace(old, new) if old else _CONTAINS_ONE + new
+    with pytest.raises(TMError) as info:
+        parse_tm(text)
+    prefix = "" if line is None else f"line {line}: "
+    assert (str(info.value), info.value.line) == (prefix + message, line)
+
+
+@pytest.mark.parametrize("name", ["contains_one.tm", "parity.tm"])
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_parse_reads_cr_and_crlf_line_ends(name, newline):
+    text = fixture_text(name)
+    assert parse_tm(text.replace("\n", newline)) == parse_tm(text)
+
+
 @pytest.mark.parametrize("line", ["start: qa", "accept: qr", "reject: qa",
                                   "states: qe qo qa qr", "alphabet: 0 1 _"])
 def test_parse_rejects_a_repeated_directive(line):

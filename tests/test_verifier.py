@@ -47,6 +47,16 @@ def test_truth_table_rejects_arity_before_evaluating(monkeypatch):
         truth_table(parse_netlist(wide))
 
 
+def test_monotone_check_refuses_17_inputs_before_evaluating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("masks built before the width check")
+    monkeypatch.setattr(verify, "input_masks", refuse)
+    monkeypatch.setattr(verify, "evaluate_masks", refuse)
+    wide = "".join(f"input x{i}\n" for i in range(17)) + "output x16\n"
+    with pytest.raises(ValueError, match="^exhaustive sweep caps at 16 inputs$"):
+        check_semantic_monotone(parse_netlist(wide))
+
+
 def test_is_monotone_table():
     assert is_monotone_table(TruthTable(2, (0, 0, 0, 1)))  # and
     assert is_monotone_table(TruthTable(2, (0, 1, 1, 1)))  # or
@@ -125,6 +135,9 @@ def test_eq_truth_table_two_pairs():
     for i in range(16):
         x, y = i >> 2, i & 3
         assert tt.bits[i] == (1 if x == y else 0)
+    for pairs in (0, 3):
+        with pytest.raises(ValueError, match="support 1 or 2 bit pairs"):
+            eq_truth_table(pairs)
 
 
 def test_refute_eq_monotone():
