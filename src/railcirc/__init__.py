@@ -7,7 +7,7 @@ exhaustively (equivalence, monotonicity, one-hot structure, size bounds).
 """
 
 from .bitsim import evaluate, wire_values
-from .circuit import (AND, CONST, INPUT, NOT, OR, Circuit, CircuitStats, Gate,
+from .circuit import (AND, CONST, INPUT, NOT, OR, Circuit, CircuitStats,
                       NetlistError, emit_dot, emit_netlist,
                       is_structurally_monotone, parse_netlist, stats)
 from .dualrail import (RAIL_SEPARATOR, build_eq_classifier, dual_rail_transform,

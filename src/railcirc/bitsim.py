@@ -58,10 +58,11 @@ def evaluate_masks(c: Circuit, masks, full: int, wires=None) -> dict[str, int]:
     is accepted, so callers can restrict the sweep to a sub-domain such as
     the valid rail assignments of a flattened circuit.
 
-    The result maps each wire named in ``wires`` to its mask (every wire
-    when None); a name the circuit does not define raises ValueError.  Only
-    the gates some named wire depends on are computed, and any other wire's
-    mask is dropped as soon as its last reader has run.
+    The result maps each wire named in ``wires`` to its mask; None names
+    every wire, in definition order.  A name the circuit does not define
+    raises ValueError.  Only the gates some named wire depends on are
+    computed, and any other wire's mask is dropped as soon as its last
+    reader has run.
     """
     if len(masks) != len(c.inputs):
         raise ValueError(
@@ -70,29 +71,27 @@ def evaluate_masks(c: Circuit, masks, full: int, wires=None) -> dict[str, int]:
     index = c._index
     end = len(kinds)
     if wires is None:
-        last = [end] * end
-        live = range(end)
-    else:
-        # last[p]: the position of wire p's last reader, end for a requested
-        # wire, -1 for a wire no requested wire depends on.  Walking back
-        # from the end, the first live reader met is the last one to run.
-        last = [-1] * end
-        for w in wires:
-            p = index.get(w)
-            if p is None:
-                raise ValueError(f"circuit defines no wire {w!r}")
-            last[p] = end
-        live = []
-        for pos in range(end - 1, -1, -1):
-            if last[pos] >= 0:
-                live.append(pos)
-                a = first[pos]
-                if a >= 0 and last[a] < 0:
-                    last[a] = pos
-                b = second[pos]
-                if b >= 0 and last[b] < 0:
-                    last[b] = pos
-        live.reverse()
+        wires = c.names
+    # last[p]: the position of wire p's last reader, end for a requested
+    # wire, -1 for a wire no requested wire depends on.  Walking back from
+    # the end, the first live reader met is the last one to run.
+    last = [-1] * end
+    for w in wires:
+        p = index.get(w)
+        if p is None:
+            raise ValueError(f"circuit defines no wire {w!r}")
+        last[p] = end
+    live = []
+    for pos in range(end - 1, -1, -1):
+        if last[pos] >= 0:
+            live.append(pos)
+            a = first[pos]
+            if a >= 0 and last[a] < 0:
+                last[a] = pos
+            b = second[pos]
+            if b >= 0 and last[b] < 0:
+                last[b] = pos
+    live.reverse()
     vals = [0] * end
     for name, m in zip(c.inputs, masks):
         vals[index[name]] = m
@@ -114,8 +113,6 @@ def evaluate_masks(c: Circuit, masks, full: int, wires=None) -> dict[str, int]:
                 vals[a] = 0
         elif op is CONST:
             vals[pos] = full if values[pos] else 0
-    if wires is None:
-        return dict(zip(c.names, vals))
     return {w: vals[index[w]] for w in wires}
 
 

@@ -1,9 +1,9 @@
 """Boolean circuit IR: a named-gate DAG plus a line-oriented netlist format.
 
-Gate kinds are ``input``, ``const``, ``and``, ``or`` and ``not``.  A circuit
-is an immutable sequence of gates in definition order together with the
-designated output wires; definitions must appear before use, so a well-formed
-netlist is already topologically sorted and acyclic.
+The gate kinds are ``input``, ``const``, ``and``, ``or`` and ``not``.  A
+circuit is an immutable sequence of gates in definition order together with
+the designated output wires; definitions must appear before use, so a
+well-formed netlist is already topologically sorted and acyclic.
 
 Netlist grammar (UTF-8, ``#`` starts a comment; lines end at LF, CRLF or
 a lone CR):
@@ -26,15 +26,14 @@ it, so both report the first faulty line in file order with the same
 message.  A Circuit is built from netlist text only (``parse_netlist``), so
 every Circuit has passed that one check.  It stores what the check
 resolved, one column per field: names, kinds, operand positions and const
-values; ``gates`` shows the same gates as Gate tuples.
+values, all indexed by gate position.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 INPUT = "input"
 CONST = "const"
@@ -59,38 +58,6 @@ class NetlistError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class Gate(NamedTuple):
-    """One gate as the ``gates`` view of a Circuit shows it: name, kind,
-    operand names and the const payload (None on other kinds)."""
-
-    name: str
-    op: str
-    args: tuple[str, ...] = ()
-    value: int | None = None
-
-
-class _Gates(Sequence):
-    """A Circuit's gates as Gate tuples, built from its columns on access.
-
-    Read-only and indexed by gate position (no slices); ``len`` costs
-    nothing, so counting gates builds no tuple.
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, c: Circuit):
-        self._c = c
-
-    def __len__(self) -> int:
-        return len(self._c.names)
-
-    def __getitem__(self, pos: int) -> Gate:
-        c = self._c
-        names = c.names
-        args = tuple(names[p] for p in (c.first[pos], c.second[pos]) if p >= 0)
-        return Gate(names[pos], c.kinds[pos], args, c.values[pos])
 
 
 @dataclass(frozen=True, repr=False)
@@ -149,9 +116,9 @@ class Circuit:
         object.__setattr__(self, "_index", index)
 
     @property
-    def gates(self) -> Sequence[Gate]:
-        """The gates in definition order, as a read-only view of Gate tuples."""
-        return _Gates(self)
+    def gates(self) -> range:
+        """The gate positions in definition order, which index every column."""
+        return range(len(self.names))
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -269,7 +236,7 @@ class CircuitStats:
 
 
 def stats(c: Circuit) -> CircuitStats:
-    """Gate counts per kind plus the longest source-to-output path length."""
+    """The gate count per kind plus the longest source-to-output path length."""
     counts = Counter(c.kinds)
     depth = [0] * len(c.names)
     for pos, a, b in zip(range(len(depth)), c.first, c.second):

@@ -88,9 +88,8 @@ def unflatten_bits(flat: str) -> str:
     """Decode a flattened string; rejects non-exclusive pairs and odd length.
 
     The bits are the one-rails, valid exactly when ``rail_block`` encodes
-    them back into the string.  Otherwise the first bad pair holds the
-    first character where the two differ, or the first non-bit one-rail,
-    where the encoding stops; a binary search on prefixes finds it.
+    them back into the string.  Otherwise a scan pair by pair names the
+    first pair that is neither ``10`` nor ``01``.
     """
     if len(flat) % 2:
         raise ValueError(f"flattened string has odd length {len(flat)}")
@@ -98,14 +97,9 @@ def unflatten_bits(flat: str) -> str:
     rails, bad = rail_block(bits)
     if bad < 0 and rails == flat:
         return bits
-    lo, hi = 0, len(rails)  # the first difference, or len(rails), is in [lo, hi]
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if rails[:mid] == flat[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    raise ValueError(f"rail pair {flat[lo:lo + 2]!r} at position {lo // 2} is not exclusive")
+    i = next(i for i in range(0, len(flat), 2) if flat[i:i + 2] not in ("10", "01"))
+    raise ValueError(
+        f"rail pair {flat[i:i + 2]!r} at position {i // 2} is not exclusive")
 
 
 def build_eq_classifier(n: int) -> Circuit:

@@ -77,7 +77,7 @@ from typing import NamedTuple, Union
 
 from .bitsim import wire_values
 from .circuit import AND, CONST, OR, Circuit, parse_netlist
-from .tm import BLANK, LEFT, RIGHT, TuringMachine, initial_configuration
+from .tm import BLANK, LEFT, RIGHT, TuringMachine, initial_configuration, step
 
 CellSymbol = Union[str, tuple[str, str]]
 
@@ -475,12 +475,14 @@ def tableau_trace(circuit: Circuit, tm: TuringMachine, x: str,
 
     circuit is that compiled circuit, built once by the caller.  Row r
     equals the machine's configuration after r steps (frozen once it
-    halts).  A symbol of x that is not a bit raises ValueError, as in
-    ``run``, and so does a t or a machine the circuit is not compiled for.
-    Raises RuntimeError if any cell fails to be one-hot, which would mean
-    the construction itself is broken.
+    halts), and each decoded row is checked against it: the first cell
+    that differs raises ValueError with both symbols, as a circuit compiled
+    for another machine does.  A symbol of x that is not a bit raises
+    ValueError, as in ``run``, and so does a t or a cell alphabet size the
+    circuit is not compiled for.  Raises RuntimeError if any cell fails to
+    be one-hot, which would mean the construction itself is broken.
     """
-    initial_configuration(tm, x)
+    conf = initial_configuration(tm, x)
     if f"c_{t}_{t}_0" not in circuit or f"c_{t + 1}_0_0" in circuit:
         raise ValueError(f"circuit is not compiled for a step budget of {t}")
     cells = cell_alphabet(tm)
@@ -489,13 +491,17 @@ def tableau_trace(circuit: Circuit, tm: TuringMachine, x: str,
     vals = wire_values(circuit, [int(ch) for ch in x])
     grid: list[list[CellSymbol]] = []
     for r in range(t + 1):
-        row: list[CellSymbol] = []
-        for c in range(t + 1):
+        row = config_cells(tm, conf, t + 1)
+        for c, want in enumerate(row):
             hot = [entry for k, entry in enumerate(cells)
                    if vals[f"c_{r}_{c}_{k}"]]
             if len(hot) != 1:
                 raise RuntimeError(
                     f"cell ({r}, {c}) is not one-hot: {len(hot)} wires set")
-            row.append(hot[0])
+            if hot[0] != want:
+                raise ValueError(f"cell ({r}, {c}) holds {hot[0]!r} in the circuit, "
+                                 f"{want!r} in the machine")
         grid.append(row)
+        if conf.state not in (tm.accept, tm.reject):
+            conf = step(tm, conf)
     return grid

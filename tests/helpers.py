@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from railcirc import (AND, CONST, NOT, ONE_HOT, OR, Circuit, CounterexampleReport,
+from railcirc import (AND, NOT, ONE_HOT, OR, Circuit, CounterexampleReport,
                       cell_alphabet, emit_netlist, parse_netlist)
 from railcirc.bitsim import (assignment_of_index, evaluate_masks, full_mask,
                              input_masks, lowest_set_bit)
@@ -57,11 +57,10 @@ def messy_netlist(rng, c: Circuit, early_outputs: bool = False) -> str:
     order is kept either way.
     """
     gaps = (" ", "  ", "\t", " \t ", "\t\t")
-    rows = [[g.op, g.name, *g.args] if g.op != CONST else [CONST, g.name, str(g.value)]
-            for g in c.gates]
+    rows = [line.split() for line in gate_lines(c).splitlines()]
     outs = [["output", o] for o in c.outputs]
     if early_outputs:
-        defined = {g.name: i + 1 for i, g in enumerate(c.gates)}
+        defined = {name: i + 1 for i, name in enumerate(c.names)}
         slots = []  # number of gate rows above each output row
         for o in c.outputs:
             slots.append(rng.randint(max(slots[-1:] + [defined[o]]), len(rows)))

@@ -32,22 +32,22 @@ def test_parse_identity():
     c = parse_netlist("input x\noutput x\n")
     assert c.inputs == ("x",)
     assert c.outputs == ("x",)
-    assert len(c.gates) == 1 and c.gates[0].op == INPUT
+    assert c.kinds == (INPUT,)
 
 
 def test_parse_classifier_structure():
     c = parse_netlist(EQ_CLASSIFIER_SRC)
-    assert [g.op for g in c.gates] == [INPUT] * 4 + [AND, AND, OR]
+    assert c.kinds == (INPUT,) * 4 + (AND, AND, OR)
     # the kind constants themselves, not a keyword token kept per gate
-    assert all(g.op is op for g, op in zip(c.gates, [INPUT] * 4 + [AND, AND, OR]))
-    assert [g.name for g in c.gates] == ["x0", "x1", "y0", "y1", "a", "b", "e"]
-    assert c.gates[4].args == ("x0", "y0")
+    assert all(k is op for k, op in zip(c.kinds, [INPUT] * 4 + [AND, AND, OR]))
+    assert c.names == ("x0", "x1", "y0", "y1", "a", "b", "e")
+    assert (c.first[4], c.second[4]) == (0, 2)
 
 
 def test_parse_tolerates_comments_blanks_and_spacing():
     text = "# header\n\ninput   x \t\n  not n x  # trailing\noutput n\n"
     c = parse_netlist(text)
-    assert [g.name for g in c.gates] == ["x", "n"]
+    assert c.names == ("x", "n")
     assert c.outputs == ("n",)
 
 
@@ -321,15 +321,16 @@ def test_emit_dot_node_per_gate():
     c = random_circuit(rng, max_inputs=5, max_gates=20)
     dot = emit_dot(c)
     assert dot.count(" [") == len(c.gates)
-    assert dot.count(" -> ") == sum(len(g.args) for g in c.gates)
+    assert dot.count(" -> ") == sum((a >= 0) + (b >= 0)
+                                    for a, b in zip(c.first, c.second))
 
 
 def _reachable_from(c: Circuit, source: str) -> set:
-    reach = {source}
-    for g in c.gates:
-        if any(a in reach for a in g.args):
-            reach.add(g.name)
-    return reach
+    reach = {c.names.index(source)}
+    for pos in c.gates:
+        if c.first[pos] in reach or c.second[pos] in reach:
+            reach.add(pos)
+    return {c.names[pos] for pos in reach}
 
 
 def test_locality_of_input_flips():
@@ -367,12 +368,8 @@ def test_columns_and_gates_view():
     assert (c.first, c.second) == ((-1, -1, 0, 2), (-1, -1, -1, 1))
     assert c.values == (None, 1, None, None)
     assert (c.inputs, c.outputs) == (("x",), ("g", "x"))
-    assert len(c.gates) == 4
-    assert list(c.gates) == [("x", INPUT, (), None), ("k", "const", (), 1),
-                             ("n", "not", ("x",), None), ("g", AND, ("n", "k"), None)]
-    assert c.gates[-1].args == ("n", "k")
-    with pytest.raises(IndexError):
-        c.gates[4]
+    assert c.gates == range(4)
+    assert repr(c) == "Circuit(inputs=1, gates=4, outputs=2)"
     with pytest.raises(AttributeError):
         c.names = ()
 

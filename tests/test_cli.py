@@ -1,7 +1,12 @@
 """Command line behavior: output formats, files, and exit codes."""
 
 import io
+import os
 import random
+import shlex
+import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -408,3 +413,73 @@ def test_unknown_subcommand_exits_2(capsys):
     assert main(["explode"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+_MUTATION_TOKENS = ("input", "const", "and", "or", "not", "output", "states:",
+                    "alphabet:", "start:", "accept:", "reject:", "delta:", "->",
+                    "0", "1", "9", " ", "\n", "\r", "\t", "\0", "\u00e9")
+
+
+def _mutate(rng, text: str) -> str:
+    """text after one to three edits: a token inserted, a run of characters
+    deleted, or a span repeated in place."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 12))
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + rng.choice(_MUTATION_TOKENS) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[j:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def test_mutated_files_exit_0_1_or_2(tmp_path, capsys):
+    # every subcommand that reads a file, on seeded mutants of the fixtures
+    # and of one small compile: nothing is raised out of main, and each
+    # exit code is one the CLI documents
+    rng = random.Random(2121)
+    machines = [fixture_text("contains_one.tm"), fixture_text("parity.tm")]
+    netlists = [fixture_text("eq_not.net"),
+                emit_netlist(compile_tm(parse_tm(machines[0]), 2, 3))]
+    sources = [tmp_path / f"source{k}.net" for k in range(len(netlists))]
+    for source, text in zip(sources, netlists):
+        source.write_text(text, encoding="utf-8")
+    mutant = tmp_path / "mutant"
+    codes = set()
+    for k in range(1000):
+        kind = k % 4
+        text = _mutate(rng, (machines + netlists)[kind])
+        mutant.write_bytes(text.encode("utf-8"))
+        if kind < 2:
+            runs = [["compile-tm", str(mutant), "-n", "2", "-t", "3"],
+                    ["compile-tm", str(mutant), "-n", "2", "-t", "3", "--flattened"]]
+        else:
+            runs = [["stats", str(mutant)], ["flatten", str(mutant)],
+                    ["verify", "equiv", str(sources[kind - 2]), str(mutant)],
+                    ["verify", "monotone", str(mutant)], ["emit-dot", str(mutant)]]
+        for argv in runs:
+            code = main(argv)
+            assert code in (0, 1, 2), (argv, text)
+            codes.add(code)
+        capsys.readouterr()
+    assert codes == {0, 1, 2}
+
+
+def test_readme_command_block_runs(tmp_path):
+    # the sh block under README's "Command line" heading, verbatim, with
+    # railcirc run from this checkout's sources
+    root = FIXTURES.parent
+    section = (root / "README.md").read_text(encoding="utf-8").split(
+        "\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    python = shlex.quote(sys.executable)
+    script = f'set -e\nrailcirc() {{ {python} -m railcirc.cli "$@"; }}\n' + block
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(["sh", "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "10010110" in proc.stdout.splitlines()

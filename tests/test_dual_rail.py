@@ -290,8 +290,8 @@ def test_rail_map_names_wires_of_the_rewrite():
         b = random_circuit(rng, max_inputs=8, max_gates=50)
         m = dual_rail_transform(b)
         rails = rail_map(b)
-        for g in b.gates:
-            if g.op != NOT:
-                assert rails[g.name][0] in m
-                assert rails[g.name][1] in m
+        for name, kind in zip(b.names, b.kinds):
+            if kind != NOT:
+                assert rails[name][0] in m
+                assert rails[name][1] in m
         assert m.outputs == tuple(rails[o][1] for o in b.outputs)

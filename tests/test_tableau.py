@@ -17,7 +17,7 @@ from railcirc.bitsim import evaluate_masks, full_mask, input_masks
 from railcirc.cli import main
 from railcirc.tableau import DEFAULT_GATE_CAP, SIZE_COEFF, compile_netlist
 
-from helpers import FIXTURES, fixture_text, one_hot_report
+from helpers import FIXTURES, fixture_text, gate_lines, one_hot_report
 
 
 def _machines():
@@ -67,9 +67,9 @@ def test_not_gates_are_exactly_the_input_complements():
     tm = parse_tm(fixture_text("parity.tm"))
     for n in (0, 1, 3):
         c = compile_tm(tm, n, max(1, 2 * n))
-        nots = [g for g in c.gates if g.op == NOT]
+        nots = [c.names[a] for k, a in zip(c.kinds, c.first) if k == NOT]
         assert len(nots) == n
-        assert sorted(g.args[0] for g in nots) == sorted(c.inputs)
+        assert sorted(nots) == sorted(c.inputs)
         assert c.inputs == tuple(f"x{i}" for i in range(n))
         assert c.outputs == ("accepted",)
 
@@ -139,6 +139,23 @@ def test_trace_rejects_a_machine_the_circuit_was_not_compiled_for(compiled, deco
     with pytest.raises(ValueError,
                        match=f"^circuit is not compiled for {na} cell symbols$"):
         tableau_trace(c, tm, "01", 3)
+
+
+@pytest.mark.parametrize("compiled, decoded", [("qa", "qr"), ("qr", "qa")])
+def test_trace_rejects_a_machine_with_the_same_cell_alphabet(compiled, decoded):
+    # the grid names carry only the alphabet's size; the decoded rows are
+    # checked against the machine's own steps
+    text = fixture_text("contains_one.tm")
+    assert "q0 1 -> qa 1 R" in text
+
+    def machine(q):
+        return parse_tm(text.replace("q0 1 -> qa 1 R", f"q0 1 -> {q} 1 R"))
+
+    c = compile_tm(machine(compiled), 1, 2)
+    message = (f"cell (1, 1) holds ('{compiled}', '_') in the circuit, "
+               f"('{decoded}', '_') in the machine")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tableau_trace(c, machine(decoded), "1", 2)
 
 
 def test_circuit_agrees_with_simulator_pointwise():
@@ -258,16 +275,16 @@ def test_invariants_on_generated_machines():
         # outside the light cone, c > r, every wire copies row 0: a const
         # where row 0 has one, else an OR buffer of the row-0 wire
         for c_ in (raw, flat):
-            gate = {g.name: g for g in c_.gates}
+            rows = map(str.split, gate_lines(c_).splitlines())
+            gate = {row[1]: row for row in rows}
             for r in range(1, t + 1):
                 for col in range(r + 1, t + 1):
                     for k in range(na):
                         g, g0 = gate[f"c_{r}_{col}_{k}"], gate[f"c_0_{col}_{k}"]
-                        if g0.op == CONST:
-                            assert (g.op, g.value) == (CONST, g0.value), (where, g)
+                        if g0[0] == CONST:
+                            assert g == [CONST, g[1], g0[2]], (where, g)
                         else:
-                            assert (g.op, g.args) == (OR, (g0.name, g0.name)), \
-                                (where, g)
+                            assert g == [OR, g[1], g0[1], g0[1]], (where, g)
 
 
 def test_empty_input_circuit():
@@ -283,7 +300,7 @@ def test_flattened_compile_is_monotone_and_agrees():
     tm = parse_tm(fixture_text("parity.tm"))
     b = compile_tm(tm, 2, 6)
     m = compile_tm_flattened(tm, 2, 6)
-    assert all(g.op != NOT for g in m.gates)
+    assert NOT not in m.kinds
     assert m.inputs == ("x0__0", "x0__1", "x1__0", "x1__1")
     sb, sm = stats(b), stats(m)
     assert (sb.and_count, sb.or_count, sb.const_count) == \
@@ -392,8 +409,9 @@ def test_logic_per_row_stops_growing(name, n, per_row):
     tm = parse_tm(fixture_text(name))
 
     def logic(t):
-        return sum(g.op == AND or g.op == OR and g.args[0] != g.args[1]
-                   for g in compile_tm(tm, n, t).gates)
+        c = compile_tm(tm, n, t)
+        return sum(k == AND or k == OR and a != b
+                   for k, a, b in zip(c.kinds, c.first, c.second))
 
     assert [logic(t + 1) - logic(t) for t in (16, 32, 64)] == [per_row] * 3
 
@@ -402,16 +420,17 @@ def _assert_folded(c, where):
     """No AND or OR reads a const; a const or an OR(x, x) buffer is a
     c_r_c_k wire or the output; every other gate but an input or an input
     NOT is read by some gate."""
-    op = {g.name: g.op for g in c.gates}
-    read = {a for g in c.gates for a in g.args}
-    for g in c.gates:
-        contract = g.name == "accepted" or re.fullmatch(r"c_\d+_\d+_\d+", g.name)
-        if g.op in (AND, OR):
-            assert CONST not in (op[a] for a in g.args), (where, g)
-        if g.op == CONST or g.op == OR and g.args[0] == g.args[1]:
-            assert contract, (where, g)
-        elif g.op not in (INPUT, NOT) and not contract:
-            assert g.name in read, (where, g)
+    kinds, first, second = c.kinds, c.first, c.second
+    read = set(first) | set(second)
+    for pos, name in enumerate(c.names):
+        kind, a, b = kinds[pos], first[pos], second[pos]
+        contract = name == "accepted" or re.fullmatch(r"c_\d+_\d+_\d+", name)
+        if kind in (AND, OR):
+            assert CONST not in (kinds[a], kinds[b]), (where, name)
+        if kind == CONST or kind == OR and a == b:
+            assert contract, (where, name)
+        elif kind not in (INPUT, NOT) and not contract:
+            assert pos in read, (where, name)
 
 
 def test_fold_is_complete_on_generated_machines():
