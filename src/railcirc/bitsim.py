@@ -10,17 +10,26 @@ one-bit masks.
 The interpreter walks the Circuit's columns (kinds, operand positions,
 const values) in definition order; it builds no per-gate record.
 
-A mask takes 2**n bits, so holding one per wire costs gates * 2**n / 8
-bytes.  Callers that need only some wires (the verifiers read the outputs)
-name them, and the evaluator then computes only those wires' cone of
-influence, the gates some requested wire depends on, and keeps a wire's
-mask only while a later gate still reads it.  Naming no wires (None)
-computes and returns every wire.
+Callers that need only some wires (the verifiers read the outputs) name
+them, and a ``Cone`` walks back once to find the gates some requested wire
+depends on and the last reader of each; the interpreter then keeps a
+wire's mask only while a later gate still reads it.  Naming no wires
+(None) computes and returns every wire.
+
+The exhaustive sweeps do not hold 2**n bits per live wire.  The walk also
+counts the most masks alive at once, and ``assignment_blocks`` cuts the
+2**n assignments, in index order, into blocks of 2**k: the widest at which
+that many masks fit _BLOCK_BYTES (1 MiB), but never under 64 assignments.
+Each block runs the same interpreter over the cone, so the memory is
+budgeted before any mask is built.
 """
 
 from __future__ import annotations
 
-from .circuit import AND, CONST, NOT, OR, Circuit
+from .circuit import AND, CONST, INPUT, NOT, OR, Circuit
+
+# The bytes one sweep block may hold in live masks (``assignment_blocks``).
+_BLOCK_BYTES = 1 << 20
 
 
 def full_mask(n: int) -> int:
@@ -51,6 +60,105 @@ def lowest_set_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+class Cone:
+    """The gates some named wires depend on, found by one backward walk.
+
+    ``wires`` are the requested names, in the order given; a name the
+    circuit does not define raises ValueError.  ``peak`` is the largest
+    number of masks alive at once while ``evaluate`` runs, the caller's
+    input masks and the requested wires' included, so a sweep can budget
+    its block width before it builds any mask.
+    """
+
+    def __init__(self, c: Circuit, wires):
+        kinds, first, second = c.kinds, c.first, c.second
+        index = c._index
+        end = len(kinds)
+        self.circuit = c
+        # last[p]: the position of wire p's last reader, end for a requested
+        # wire, -1 for a wire no requested wire depends on.  Walking back
+        # from the end, the first live reader met is the last one to run.
+        last = [-1] * end
+        self.positions = []
+        for w in wires:
+            p = index.get(w)
+            if p is None:
+                raise ValueError(f"circuit defines no wire {w!r}")
+            self.positions.append(p)
+            last[p] = end
+        # held: the gate masks alive while gate pos runs, those defined at
+        # or before pos whose last reader is at or after it.  The input
+        # masks stay with the caller throughout, and an input is no step
+        # of the interpreter.
+        held = sum(kinds[p] is not INPUT for p in set(self.positions))
+        peak = 0
+        live = []
+        for pos in range(end - 1, -1, -1):
+            if last[pos] < 0 or kinds[pos] is INPUT:
+                continue
+            live.append(pos)
+            a = first[pos]
+            if a >= 0 and last[a] < 0:
+                last[a] = pos
+                held += kinds[a] is not INPUT
+            b = second[pos]
+            if b >= 0 and last[b] < 0:
+                last[b] = pos
+                held += kinds[b] is not INPUT
+            if held > peak:
+                peak = held
+            held -= 1
+        live.reverse()
+        self.live, self.last = live, last
+        self.peak = peak + len(c.inputs)
+
+    def evaluate(self, masks, full: int) -> list[int]:
+        """The mask of each requested wire, in order, with ``masks[j]``
+        driving the j-th input; any other wire's mask is dropped as soon
+        as its last reader has run."""
+        c = self.circuit
+        kinds, first, second, values = c.kinds, c.first, c.second, c.values
+        last = self.last
+        vals = [0] * len(kinds)
+        for name, m in zip(c.inputs, masks):
+            vals[c._index[name]] = m
+        for pos in self.live:
+            op = kinds[pos]
+            if op is AND or op is OR:
+                a = first[pos]
+                b = second[pos]
+                vals[pos] = vals[a] & vals[b] if op is AND else vals[a] | vals[b]
+                if last[a] == pos:
+                    vals[a] = 0
+                if last[b] == pos:
+                    vals[b] = 0
+            elif op is NOT:
+                a = first[pos]
+                vals[pos] = full ^ vals[a]
+                if last[a] == pos:
+                    vals[a] = 0
+            elif op is CONST:
+                vals[pos] = full if values[pos] else 0
+        return [vals[p] for p in self.positions]
+
+
+def assignment_blocks(n: int, peak: int):
+    """Sweep the 2**n assignments in index order, one block at a time.
+
+    Yields ``(base, masks, full)`` per block: the index of its first
+    assignment, the n input masks over its 2**k assignments and their full
+    mask.  k is the largest width at which ``peak`` masks fit _BLOCK_BYTES,
+    but at least 6 (a 64-bit mask) and at most n.  The first n - k inputs
+    are constant within a block, so only the last k inputs' masks vary.
+    """
+    k = min(n, max(6, (_BLOCK_BYTES * 8 // max(peak, 1)).bit_length() - 1))
+    full = full_mask(k)
+    low = input_masks(k)
+    for block in range(1 << (n - k)):
+        high = [full if block >> (n - k - 1 - j) & 1 else 0 for j in range(n - k)]
+        yield block << k, high + low, full
+
+
 def evaluate_masks(c: Circuit, masks, full: int, wires=None) -> dict[str, int]:
     """Evaluate the circuit over all assignments at once; map wire to mask.
 
@@ -61,59 +169,14 @@ def evaluate_masks(c: Circuit, masks, full: int, wires=None) -> dict[str, int]:
     The result maps each wire named in ``wires`` to its mask; None names
     every wire, in definition order.  A name the circuit does not define
     raises ValueError.  Only the gates some named wire depends on are
-    computed, and any other wire's mask is dropped as soon as its last
-    reader has run.
+    computed (a ``Cone``), in one block.
     """
     if len(masks) != len(c.inputs):
         raise ValueError(
             f"{len(masks)} input masks supplied, circuit has {len(c.inputs)} inputs")
-    kinds, first, second = c.kinds, c.first, c.second
-    index = c._index
-    end = len(kinds)
     if wires is None:
         wires = c.names
-    # last[p]: the position of wire p's last reader, end for a requested
-    # wire, -1 for a wire no requested wire depends on.  Walking back from
-    # the end, the first live reader met is the last one to run.
-    last = [-1] * end
-    for w in wires:
-        p = index.get(w)
-        if p is None:
-            raise ValueError(f"circuit defines no wire {w!r}")
-        last[p] = end
-    live = []
-    for pos in range(end - 1, -1, -1):
-        if last[pos] >= 0:
-            live.append(pos)
-            a = first[pos]
-            if a >= 0 and last[a] < 0:
-                last[a] = pos
-            b = second[pos]
-            if b >= 0 and last[b] < 0:
-                last[b] = pos
-    live.reverse()
-    vals = [0] * end
-    for name, m in zip(c.inputs, masks):
-        vals[index[name]] = m
-    values = c.values
-    for pos in live:
-        op = kinds[pos]
-        if op is AND or op is OR:
-            a = first[pos]
-            b = second[pos]
-            vals[pos] = vals[a] & vals[b] if op is AND else vals[a] | vals[b]
-            if last[a] == pos:
-                vals[a] = 0
-            if last[b] == pos:
-                vals[b] = 0
-        elif op is NOT:
-            a = first[pos]
-            vals[pos] = full ^ vals[a]
-            if last[a] == pos:
-                vals[a] = 0
-        elif op is CONST:
-            vals[pos] = full if values[pos] else 0
-    return {w: vals[index[w]] for w in wires}
+    return dict(zip(wires, Cone(c, wires).evaluate(masks, full)))
 
 
 def rail_masks(masks, full: int) -> list[int]:

@@ -30,8 +30,8 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .bitsim import (assignment_of_index, evaluate_masks, full_mask, input_masks,
-                     lowest_set_bit, rail_masks)
+from .bitsim import (Cone, assignment_blocks, assignment_of_index, lowest_set_bit,
+                     rail_masks)
 from .circuit import (AND, INPUT, NOT, OR, OUTPUT, Circuit, NetlistError,
                       emit_netlist, parse_netlist, read_netlist)
 from .reports import RAIL, CounterexampleReport
@@ -215,28 +215,33 @@ def validate_rail_complement(b: Circuit, m: Circuit) -> CounterexampleReport | N
     """Check that in m every rail pair of b stays complementary.
 
     Sweeps all valid flattened assignments (b must have at most 12 inputs)
-    and reports the first wire/assignment where ``w__0 != not w__1``.
+    block by block, and reports the first pair in ``rail_map`` order where
+    ``w__0 != not w__1`` on some assignment, at its lowest such assignment.
     """
     n = len(b.inputs)
     if n > 12:
         raise ValueError("rail validation sweeps all assignments; max 12 inputs")
-    full = full_mask(n)
-    pairs = rail_map(b).values()
-    vals = evaluate_masks(m, rail_masks(input_masks(n), full), full,
-                          wires=[w for pair in pairs for w in pair])
-    for z, o in pairs:
-        mismatch = vals[z] ^ (full ^ vals[o])
-        if mismatch:
-            i = lowest_set_bit(mismatch)
-            x = assignment_of_index(i, n)
-            flat = tuple(int(ch) for ch in flatten_bits("".join(str(v) for v in x)))
-            one = (vals[o] >> i) & 1
-            zero = (vals[z] >> i) & 1
-            return CounterexampleReport(
-                kind=RAIL,
-                witness=(flat,),
-                expected=(1 - one,),
-                observed=(zero,),
-                detail=z,
-            )
-    return None
+    pairs = list(rail_map(b).values())
+    cone = Cone(m, [w for pair in pairs for w in pair])
+    # fails[p]: pair p's lowest failing assignment, with its two rails there
+    fails = {}
+    for base, masks, full in assignment_blocks(n, cone.peak):
+        vals = cone.evaluate(rail_masks(masks, full), full)
+        for p, (zero, one) in enumerate(zip(vals[::2], vals[1::2])):
+            mismatch = zero ^ (full ^ one)
+            if mismatch and p not in fails:
+                i = lowest_set_bit(mismatch)
+                fails[p] = (base + i, (zero >> i) & 1, (one >> i) & 1)
+    if not fails:
+        return None
+    p = min(fails)
+    i, zero, one = fails[p]
+    x = assignment_of_index(i, n)
+    flat = tuple(int(ch) for ch in flatten_bits("".join(str(v) for v in x)))
+    return CounterexampleReport(
+        kind=RAIL,
+        witness=(flat,),
+        expected=(1 - one,),
+        observed=(zero,),
+        detail=pairs[p][0],
+    )

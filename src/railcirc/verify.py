@@ -1,16 +1,19 @@
 """Verification passes: monotone-function census, equivalence, monotonicity.
 
-All checks are exhaustive over the input domain (sizes are capped so the
-sweeps stay fast) and every failure comes back as a self-certifying
-CounterexampleReport: re-evaluating the subject on the witness reproduces
-the recorded discrepancy.
+All checks are exhaustive over the input domain and every failure comes
+back as a self-certifying CounterexampleReport: re-evaluating the subject
+on the witness reproduces the recorded discrepancy.  The input caps bound
+the time a sweep takes; its memory is bounded by
+``bitsim.assignment_blocks``, which sweeps the assignments in index order
+in blocks sized to a fixed byte budget, so an equivalence check stops at
+the first block that differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsim import (assignment_of_index, evaluate_masks, full_mask,
+from .bitsim import (Cone, assignment_blocks, assignment_of_index, full_mask,
                      input_masks, lowest_set_bit, rail_masks)
 from .circuit import Circuit, stats
 from .reports import EQUIVALENCE, MONOTONICITY, CounterexampleReport
@@ -54,9 +57,18 @@ def truth_table(c: Circuit) -> TruthTable:
         raise ValueError("truth tables cover single-output circuits")
     n = len(c.inputs)
     _check_table_arity(n)
-    vals = evaluate_masks(c, input_masks(n), full_mask(n), c.outputs)
-    ov = vals[c.outputs[0]]
+    ov, = _output_masks(c)
     return TruthTable(n, tuple((ov >> i) & 1 for i in range(1 << n)))
+
+
+def _output_masks(c: Circuit) -> list[int]:
+    """Each output's mask over all 2**n assignments, joined from the
+    blocks of one sweep."""
+    cone = Cone(c, c.outputs)
+    outs = [0] * len(c.outputs)
+    for base, masks, full in assignment_blocks(len(c.inputs), cone.peak):
+        outs = [o | v << base for o, v in zip(outs, cone.evaluate(masks, full))]
+    return outs
 
 
 def is_monotone_table(table: TruthTable) -> bool:
@@ -152,25 +164,24 @@ def exhaustive_equiv(b: Circuit, m: Circuit, mode: str = RAW) -> CounterexampleR
         raise ValueError(
             f"{mode} mode needs {want} inputs on the second circuit, "
             f"got {len(m.inputs)}")
-    full = full_mask(n)
-    masks = input_masks(n)
-    bvals = evaluate_masks(b, masks, full, b.outputs)
-    mvals = evaluate_masks(
-        m, masks if mode == RAW else rail_masks(masks, full), full, m.outputs)
-    bouts = [bvals[o] for o in b.outputs]
-    mouts = [mvals[o] for o in m.outputs]
-    diff = 0
-    for x, y in zip(bouts, mouts):
-        diff |= x ^ y
-    if not diff:
-        return None
-    i = lowest_set_bit(diff)
-    return CounterexampleReport(
-        kind=EQUIVALENCE,
-        witness=(assignment_of_index(i, n),),
-        expected=tuple((x >> i) & 1 for x in bouts),
-        observed=tuple((y >> i) & 1 for y in mouts),
-    )
+    bcone = Cone(b, b.outputs)
+    mcone = Cone(m, m.outputs)
+    for base, masks, full in assignment_blocks(n, max(bcone.peak, mcone.peak)):
+        bouts = bcone.evaluate(masks, full)
+        mouts = mcone.evaluate(
+            masks if mode == RAW else rail_masks(masks, full), full)
+        diff = 0
+        for x, y in zip(bouts, mouts):
+            diff |= x ^ y
+        if diff:
+            i = lowest_set_bit(diff)
+            return CounterexampleReport(
+                kind=EQUIVALENCE,
+                witness=(assignment_of_index(base + i, n),),
+                expected=tuple((x >> i) & 1 for x in bouts),
+                observed=tuple((y >> i) & 1 for y in mouts),
+            )
+    return None
 
 
 def check_semantic_monotone(c: Circuit) -> CounterexampleReport | None:
@@ -182,12 +193,11 @@ def check_semantic_monotone(c: Circuit) -> CounterexampleReport | None:
     n = len(c.inputs)
     if n > _MONOTONE_MAX_INPUTS:
         raise ValueError(f"exhaustive sweep caps at {_MONOTONE_MAX_INPUTS} inputs")
+    outs = _output_masks(c)
     full = full_mask(n)
     masks = input_masks(n)
-    vals = evaluate_masks(c, masks, full, c.outputs)
     best = None
-    for oi, oname in enumerate(c.outputs):
-        ov = vals[oname]
+    for oi, ov in enumerate(outs):
         for j in range(n):
             shift = 1 << (n - 1 - j)
             viol = ov & (full ^ (ov >> shift)) & (full ^ masks[j])
@@ -199,7 +209,7 @@ def check_semantic_monotone(c: Circuit) -> CounterexampleReport | None:
         return None
     u, j, oi = best
     v = u | (1 << (n - 1 - j))
-    ov = vals[c.outputs[oi]]
+    ov = outs[oi]
     return CounterexampleReport(
         kind=MONOTONICITY,
         witness=(assignment_of_index(u, n), assignment_of_index(v, n)),

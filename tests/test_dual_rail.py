@@ -224,7 +224,8 @@ def test_rail_complement_refuses_13_inputs_before_evaluating(monkeypatch):
         raise AssertionError("evaluated a circuit of 13 inputs")
 
     monkeypatch.setattr(dualrail, "rail_map", evaluated)
-    monkeypatch.setattr(dualrail, "evaluate_masks", evaluated)
+    monkeypatch.setattr(dualrail, "Cone", evaluated)
+    monkeypatch.setattr(dualrail, "assignment_blocks", evaluated)
     with pytest.raises(ValueError, match="max 12 inputs"):
         validate_rail_complement(b, m)
 

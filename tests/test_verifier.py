@@ -37,24 +37,34 @@ def test_truth_table_guards():
         TruthTable(2, (0, 1))
 
 
-def test_truth_table_rejects_arity_before_evaluating(monkeypatch):
+def _refuse_sweeps(monkeypatch, check, names=("Cone", "assignment_blocks")):
+    """Make each named sweep step of ``verify`` fail the test if called."""
     def refuse(*args):
-        raise AssertionError("masks built before the arity check")
-    monkeypatch.setattr(verify, "input_masks", refuse)
-    monkeypatch.setattr(verify, "evaluate_masks", refuse)
+        raise AssertionError(f"masks built before the {check} check")
+    for name in names:
+        monkeypatch.setattr(verify, name, refuse)
+
+
+def test_truth_table_rejects_arity_before_evaluating(monkeypatch):
+    _refuse_sweeps(monkeypatch, "arity")
     wide = "".join(f"input x{i}\n" for i in range(6)) + "output x5\n"
     with pytest.raises(ValueError, match="capped at arity 5"):
         truth_table(parse_netlist(wide))
 
 
 def test_monotone_check_refuses_17_inputs_before_evaluating(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("masks built before the width check")
-    monkeypatch.setattr(verify, "input_masks", refuse)
-    monkeypatch.setattr(verify, "evaluate_masks", refuse)
+    _refuse_sweeps(monkeypatch, "width", ("Cone", "assignment_blocks", "input_masks"))
     wide = "".join(f"input x{i}\n" for i in range(17)) + "output x16\n"
     with pytest.raises(ValueError, match="^exhaustive sweep caps at 16 inputs$"):
         check_semantic_monotone(parse_netlist(wide))
+
+
+@pytest.mark.parametrize("mode", [RAW, FLATTENED])
+def test_equiv_refuses_21_inputs_before_evaluating(monkeypatch, mode):
+    _refuse_sweeps(monkeypatch, "width", ("Cone", "assignment_blocks", "rail_masks"))
+    wide = parse_netlist("".join(f"input x{i}\n" for i in range(21)) + "output x20\n")
+    with pytest.raises(ValueError, match="^exhaustive sweep caps at 20 inputs$"):
+        exhaustive_equiv(wide, wide if mode == RAW else dual_rail_transform(wide), mode)
 
 
 def test_is_monotone_table():
