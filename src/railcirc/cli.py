@@ -1,9 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 a verification property failed, 2 usage or parse
-errors (including gate-cap overruns).  Results go to stdout, diagnostics to
-stderr.  All subcommands are deterministic: the same invocation produces
-byte-identical output.
+Exit codes: 0 success, 1 a verification property failed, 2 usage, parse or
+out-of-memory errors (including gate-cap overruns).  Results go to stdout,
+diagnostics to stderr.  All subcommands are deterministic: the same
+invocation produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -191,6 +191,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

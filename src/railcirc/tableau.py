@@ -188,60 +188,50 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
             f"grid alone needs {(t + 1) * cols * na} gates, cap is {gate_cap}")
 
     n_sym = len(tm.alphabet)  # tape symbols take cell indices 0..n_sym-1
-    halting = (tm.accept, tm.reject)
-    state_no = {q: j for j, q in enumerate(tm.states)}
-    # held[k]: the tape symbol a cell must hold for a guard to produce k
-    held = [index[e if type(e) is str else e[1]] for e in cells]
 
-    # Next-content tables, precomputed per machine.  here[at_wall][k]: the
-    # head pairs whose step leaves target k on the head's own cell, away from
-    # and at the wall; a left move at the wall keeps the head in place, so
-    # the pair survives.
+    # The machine's two tables, filled by one read of each transition.
+    # here[at_wall][k]: the head pairs whose step leaves target k on the
+    # head's own cell, away from and at the wall; a left move at the wall
+    # keeps the head in place, and a halting state's pair stays put.
+    # moves[p]: the state and the direction head pair p's step moves the
+    # head in; a halting state's pairs have none.
     here = ([[] for _ in range(na)], [[] for _ in range(na)])
-    # enter_from_left / enter_from_right: (head pair on the left/right
-    # neighbor, the state that arrives on the cell, or None if it stays away)
-    enter_from_left: list[tuple[int, str | None]] = []
-    enter_from_right: list[tuple[int, str | None]] = []
+    moves: dict[int, tuple[str, str]] = {}
     for p, (q, s) in enumerate(cells[n_sym:], n_sym):
-        if q in halting:
-            off_wall = at_wall = (q, s)
-            q_right = q_left = None
-        else:
+        off_wall = at_wall = p
+        if q not in (tm.accept, tm.reject):
             q2, s2, d = tm.delta[(q, s)]
-            off_wall = s2
-            at_wall = (q2, s2) if d == LEFT else s2
-            q_right = q2 if d == RIGHT else None
-            q_left = q2 if d == LEFT else None
-        here[False][index[off_wall]].append(p)
-        here[True][index[at_wall]].append(p)
-        enter_from_left.append((p, q_right))
-        enter_from_right.append((p, q_left))
+            moves[p] = q2, d
+            off_wall = index[s2]
+            at_wall = index[(q2, s2)] if d == LEFT else off_wall
+        here[False][off_wall].append(p)
+        here[True][at_wall].append(p)
 
     # A cell of rows 1..t reads a window of three previous-row cells: slots
     # 0..na-1 hold its left neighbor's wires, na..2na-1 its own, 2na..3na-1
     # its right neighbor's.  Past them come the neighbors' sym_ trees, the
     # nh_ guard, one slot per guard, one per wire of the cell and one for
-    # the guarded AND of the wire being built.  keep ORs nh_ with the
-    # neighbors' head pairs that stay away; arrive_q ORs those that come in
-    # in state q.
+    # the guarded AND of the wire being built.  A left neighbor's head pair
+    # enters moving right, a right neighbor's moving left: arrive_q ORs the
+    # pairs that enter in state q, numbered in the order they first enter,
+    # and keep ORs nh_ with the rest.
     own, right = na, 2 * na
     sym_l, sym_r, nh = 3 * na, 3 * na + 1, 3 * na + 2
     g0 = nh + 1
     keep = [nh]
     arrive: dict[str, list[int]] = {}
-    for base, enters in ((0, enter_from_left), (right, enter_from_right)):
-        for p, q_in in enters:
-            if q_in is None:
-                keep.append(base + p)
-            else:
-                arrive.setdefault(q_in, []).append(base + p)
-    guards = [("keep", keep)]
-    # guard_of[k]: the guard ANDed with the held symbol to produce k
-    guard_of: list[int | None] = [0] * n_sym + [None] * (na - n_sym)
-    for q_in, srcs in arrive.items():
-        for s in tm.alphabet:
-            guard_of[index[(q_in, s)]] = len(guards)
-        guards.append((f"arrive{state_no[q_in]}", srcs))
+    for base, enter in ((0, RIGHT), (right, LEFT)):
+        for p in range(n_sym, na):
+            q, d = moves.get(p, (None, None))
+            (arrive.setdefault(q, []) if d == enter else keep).append(base + p)
+    guards = [("keep", keep)] + [(f"arrive{tm.states.index(q)}", srcs)
+                                 for q, srcs in arrive.items()]
+    # guarded[k]: the slots of the guard and of the held symbol whose AND
+    # produces k, None for a head pair no neighbor moves in as
+    guarded = [(g0, own + k) for k in range(n_sym)] + [None] * (na - n_sym)
+    for j, q in enumerate(arrive, 1):
+        for k, s in enumerate(tm.alphabet):
+            guarded[index[(q, s)]] = g0 + j, own + k
     t0 = g0 + len(guards)
     tmp = t0 + na
 
@@ -282,8 +272,8 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
         for k in range(na):
             leaves = [val[own + p] for p in here[wall][k]]
             pair = None
-            if guard_of[k] is not None:
-                g, h = val[g0 + guard_of[k]], val[own + held[k]]
+            if guarded[k]:
+                g, h = (val[slot] for slot in guarded[k])
                 v = _and_value(g, h)
                 if v is None:
                     pair = (g, h)

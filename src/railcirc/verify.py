@@ -6,13 +6,15 @@ on the witness reproduces the recorded discrepancy.  The input caps bound
 the time a sweep takes; its memory is bounded by
 ``bitsim.assignment_blocks``, which sweeps the assignments in index order
 in blocks sized to a fixed byte budget, so an equivalence check stops at
-the first block that differs.
+the first block that differs.  The monotone check joins at most one budget
+of distinct output masks per sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import bitsim
 from .bitsim import (Cone, assignment_blocks, assignment_of_index, full_mask,
                      input_masks, lowest_set_bit, rail_masks)
 from .circuit import Circuit, stats
@@ -57,15 +59,15 @@ def truth_table(c: Circuit) -> TruthTable:
         raise ValueError("truth tables cover single-output circuits")
     n = len(c.inputs)
     _check_table_arity(n)
-    ov, = _output_masks(c)
+    ov, = _output_masks(c, c.outputs)
     return TruthTable(n, tuple((ov >> i) & 1 for i in range(1 << n)))
 
 
-def _output_masks(c: Circuit) -> list[int]:
-    """Each output's mask over all 2**n assignments, joined from the
-    blocks of one sweep."""
-    cone = Cone(c, c.outputs)
-    outs = [0] * len(c.outputs)
+def _output_masks(c: Circuit, wires) -> list[int]:
+    """Each wire's mask over all 2**n assignments, joined from the blocks
+    of one sweep."""
+    cone = Cone(c, wires)
+    outs = [0] * len(wires)
     for base, masks, full in assignment_blocks(len(c.inputs), cone.peak):
         outs = [o | v << base for o, v in zip(outs, cone.evaluate(masks, full))]
     return outs
@@ -193,23 +195,26 @@ def check_semantic_monotone(c: Circuit) -> CounterexampleReport | None:
     n = len(c.inputs)
     if n > _MONOTONE_MAX_INPUTS:
         raise ValueError(f"exhaustive sweep caps at {_MONOTONE_MAX_INPUTS} inputs")
-    outs = _output_masks(c)
     full = full_mask(n)
-    masks = input_masks(n)
-    best = None
-    for oi, ov in enumerate(outs):
-        for j in range(n):
-            shift = 1 << (n - 1 - j)
-            viol = ov & (full ^ (ov >> shift)) & (full ^ masks[j])
-            if viol:
-                cand = (lowest_set_bit(viol), j, oi)
-                if best is None or cand < best:
-                    best = cand
+    # each distinct output once, at its first index, one budget per sweep
+    outs = list(dict.fromkeys(c.outputs))
+    group = max(1, 8 * bitsim._BLOCK_BYTES >> n)
+    best = masks = None
+    for start in range(0, len(outs), group):
+        for oi, ov in enumerate(_output_masks(c, outs[start:start + group]), start):
+            masks = masks or input_masks(n)  # after the first sweep, not during it
+            for j in range(n):
+                shift = 1 << (n - 1 - j)
+                viol = ov & (full ^ (ov >> shift)) & (full ^ masks[j])
+                if viol:
+                    # (u, j, oi) differ between candidates; ov rides along
+                    cand = (lowest_set_bit(viol), j, oi, ov)
+                    if best is None or cand < best:
+                        best = cand
     if best is None:
         return None
-    u, j, oi = best
+    u, j, _, ov = best
     v = u | (1 << (n - 1 - j))
-    ov = outs[oi]
     return CounterexampleReport(
         kind=MONOTONICITY,
         witness=(assignment_of_index(u, n), assignment_of_index(v, n)),

@@ -152,6 +152,21 @@ def test_verifiers_hold_only_live_wires():
     assert report.witness == ((1,) * n,)
 
 
+_SIXTEEN = "".join(f"input x{i}\n" for i in range(16))
+
+
+@pytest.mark.parametrize("text", [
+    _SIXTEEN + "and g x0 x1\n" + "output g\n" * 2000,
+    _SIXTEEN + "".join(f"and g{t} x{t % 16} x{(7 * t + 3) % 16}\n" for t in range(1000))
+    + "".join(f"output g{t}\n" for t in range(1000)),
+], ids=["one output listed 2000 times", "1000 distinct outputs"])
+def test_the_monotone_check_joins_one_budget_of_distinct_outputs(text):
+    # At 16 inputs an output's joined mask is 8 KB: joining every output
+    # line at once would hold about 17 MB.
+    c = parse_netlist(text)
+    assert _traced_under(3_000_000, lambda: check_semantic_monotone(c)) is None
+
+
 def test_peak_counts_the_masks_alive_at_once():
     # A gate's mask is held from its own step to its last reader's step, a
     # requested wire's to the end; the caller holds every input's mask.
@@ -300,6 +315,12 @@ def test_blocked_sweeps_match_one_full_width_sweep(monkeypatch):
                  (check_semantic_monotone, _monotone_reference,
                   (parse_netlist(mono + "not planted x0\noutput planted\n"),),
                   (low, (1,) + low[1:])),
+                 # a violating output listed twice after the clean ones:
+                 # small budgets split the outputs across sweeps
+                 (check_semantic_monotone, _monotone_reference,
+                  (parse_netlist(mono + "not planted x1\n"
+                                 "output planted\noutput planted\n"),),
+                  (low, (0, 1) + low[2:])),
                  (validate_rail_complement, _rail_reference, (b, parse_netlist(flat)),
                   None)]
         for bit in (0, 1):

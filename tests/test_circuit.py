@@ -320,14 +320,14 @@ def test_emit_dot_node_per_gate():
     rng = random.Random(3)
     c = random_circuit(rng, max_inputs=5, max_gates=20)
     dot = emit_dot(c)
-    assert dot.count(" [") == len(c.gates)
+    assert dot.count(" [") == len(c.names)
     assert dot.count(" -> ") == sum((a >= 0) + (b >= 0)
                                     for a, b in zip(c.first, c.second))
 
 
 def _reachable_from(c: Circuit, source: str) -> set:
     reach = {c.names.index(source)}
-    for pos in c.gates:
+    for pos in range(len(c.names)):
         if c.first[pos] in reach or c.second[pos] in reach:
             reach.add(pos)
     return {c.names[pos] for pos in reach}

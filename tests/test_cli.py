@@ -86,7 +86,7 @@ def test_compile_tm_gate_cap_is_exact(tmp_path, capsys, flattened):
     argv = ["compile-tm", CONTAINS_ONE, "-n", "3", "-t", "6"]
     argv += ["--flattened"] if flattened else []
     build = compile_tm_flattened if flattened else compile_tm
-    exact = len(build(parse_tm(fixture_text("contains_one.tm")), 3, 6).gates)
+    exact = len(build(parse_tm(fixture_text("contains_one.tm")), 3, 6).names)
     out = tmp_path / "m.net"
     assert main(["--gate-cap", str(exact), *argv]) == 0
     text = capsys.readouterr().out
@@ -106,6 +106,15 @@ def test_stats_line(capsys):
     assert main(["stats", EQ_NOT]) == 0
     assert capsys.readouterr().out == \
         "inputs=2 consts=0 and=2 or=1 not=2 outputs=1 depth=3 total=7\n"
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    def exhausted(c):
+        raise MemoryError
+
+    monkeypatch.setattr("railcirc.cli.stats", exhausted)
+    assert main(["stats", EQ_NOT]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_emit_dot(tmp_path, capsys):

@@ -167,7 +167,7 @@ def test_transform_size_at_most_doubles():
     for _ in range(40):
         b = random_circuit(rng, max_inputs=8, max_gates=50)
         m = dual_rail_transform(b)
-        assert len(m.gates) <= 2 * len(b.gates)
+        assert len(m.names) <= 2 * len(b.names)
 
 
 def test_transform_handles_const_and_multiple_outputs():

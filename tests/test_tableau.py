@@ -254,7 +254,7 @@ def test_invariants_on_generated_machines():
         raw = compile_tm(tm, n, t)
         where = (tm.delta, n, t)
         na = len(cell_alphabet(tm))
-        assert len(raw.gates) <= SIZE_COEFF * (t + 1) * (t + 1) * na, where
+        assert len(raw.names) <= SIZE_COEFF * (t + 1) * (t + 1) * na, where
         # every row of the grid, on every input, is the simulator's
         # configuration after that many steps (frozen once it halts)
         for word in _words(n):
@@ -322,7 +322,7 @@ def test_gate_cap_enforced():
         compile_tm(tm, 2, 8, gate_cap=500)
     # the cap is on the total, not the grid bound
     big = compile_tm(tm, 2, 8)
-    assert len(big.gates) <= 10_000_000
+    assert len(big.names) <= 10_000_000
 
 
 @pytest.mark.parametrize("flattened", [False, True], ids=["raw", "flattened"])
@@ -330,8 +330,8 @@ def test_gate_cap_is_exact(flattened):
     build = compile_tm_flattened if flattened else compile_tm
     for tm in _machines():
         for n, t in ((0, 1), (1, 1), (2, 1), (2, 3), (3, 6), (4, 12)):
-            exact = len(build(tm, n, t).gates)
-            assert len(build(tm, n, t, gate_cap=exact).gates) == exact
+            exact = len(build(tm, n, t).names)
+            assert len(build(tm, n, t, gate_cap=exact).names) == exact
             with pytest.raises(GateCapError, match=f"^{exact} gates exceed"):
                 build(tm, n, t, gate_cap=exact - 1)
 
@@ -447,7 +447,7 @@ def test_fold_is_complete_on_generated_machines():
         assert (sr.and_count, sr.or_count, sr.const_count) == \
             (sf.and_count, sf.or_count, sf.const_count), where
         # the tag pass counts the folded gates exactly
-        exact = len(raw.gates)
+        exact = len(raw.names)
         with pytest.raises(GateCapError, match=f"^{exact} gates exceed"):
             compile_tm(tm, n, t, gate_cap=exact - 1)
 

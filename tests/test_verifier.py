@@ -248,8 +248,8 @@ def test_size_report():
     r = size_report(b, m)
     assert r.source_gates == 7 and r.not_count_source == 2
     assert r.not_count_target == 0
-    assert r.target_gates == len(m.gates)
-    assert r.ratio == len(m.gates) / 7
+    assert r.target_gates == len(m.names)
+    assert r.ratio == len(m.names) / 7
     assert r.ratio <= 2.0
 
 
