@@ -20,17 +20,23 @@ already-defined one.  Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.  Tokens
 are separated by any whitespace; emission always uses single spaces, one
 definition per line, output lines last.
 
-Netlist text is checked by one scanner, ``read_netlist``, one line at a
-time: the Circuit constructor and the streamed dual-rail rewrite both read
-it, so both report the first faulty line in file order with the same
-message.  A Circuit is built from netlist text only (``parse_netlist``), so
-every Circuit has passed that one check.  It stores what the check
+Netlist text is checked in file order by one scanner, ``read_netlist``,
+one line at a time: the Circuit constructor and the streamed dual-rail
+rewrite both read it, so both report the first faulty line with the same
+message.  The one exception is a run of canonical const lines, ``const
+NAME 0|1`` with single spaces, each starting a line and ending in a
+newline, which is most of a compiled tableau.  The constructor checks such
+a run at a time: a name defined twice is its only possible fault, and a run
+that has one goes to ``read_netlist`` line by line, which reports it.  A
+Circuit is built from netlist text only (``parse_netlist``), so every
+Circuit has passed that one check.  It stores what the check
 resolved, one column per field: names, kinds, operand positions and const
 values, all indexed by gate position.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator
@@ -47,6 +53,13 @@ OUTPUT = "output"  # the keyword of an output line, not a gate kind
 # per-line keyword token.
 _KEYWORDS = {kind: (kind, width) for kind, width in (
     (INPUT, 2), (CONST, 3), (AND, 4), (OR, 4), (NOT, 3), (OUTPUT, 2))}
+
+# A run of canonical const lines, as compile_netlist and emit_netlist write
+# them.  It opens with the literal "const ", which re finds by a prefix
+# search; an anchor or a leading group would cost a match try per offset.
+_CONST_RUN = re.compile(
+    r"const [A-Za-z_][A-Za-z0-9_]* [01]\n(?:const [A-Za-z_][A-Za-z0-9_]* [01]\n)*")
+_BITS = {"0": 0, "1": 1}
 
 
 class NetlistError(ValueError):
@@ -87,29 +100,59 @@ class Circuit:
     _index: dict[str, int] = field(init=False, compare=False)
 
     def __post_init__(self, text: str):
-        """Check ``text`` line by line and store its columns.
+        """Check ``text`` and store its columns.
 
         Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as the CLI's
         files are read; other whitespace, form feed included, only
-        separates tokens.
+        separates tokens.  Each run of canonical const lines that starts a
+        line is checked as one run, every other line by ``read_netlist``.
         """
         index: dict[str, int] = {}
         columns = names, kinds, first, second, values, outputs, inputs = (
             [], [], [], [], [], [], [])
         if "\r" in text:  # universal newlines: \r\n and a lone \r end a line
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        for _, kind, name, value, a, b in read_netlist(text.split("\n"), index):
-            if kind is OUTPUT:
-                outputs.append(name)
-                continue
-            index[name] = len(names)
-            names.append(name)
-            kinds.append(kind)
-            first.append(a)
-            second.append(b)
-            values.append(value)
-            if kind is INPUT:
-                inputs.append(name)
+        pos, lineno = 0, 1  # the first line not yet checked
+        run = _const_run(text, 0)
+        while pos < len(text):
+            end = run.start() if run else len(text)
+            if pos == end:
+                # A run's lines are well formed, so a name defined twice is
+                # their one possible fault.  index maps each name in names,
+                # so it grows by k only if every run name is new; otherwise
+                # it is rebuilt and read_netlist reports the first duplicate.
+                tokens = run.group().split()
+                run_names = tokens[1::3]
+                k = len(run_names)
+                index.update(zip(run_names, range(len(names), len(names) + k)))
+                if len(index) == len(names) + k:
+                    names += run_names
+                    kinds += [CONST] * k
+                    first += [-1] * k
+                    second += [-1] * k
+                    values += map(_BITS.__getitem__, tokens[2::3])
+                    lineno += k
+                    pos = run.end()
+                    run = _const_run(text, pos)
+                    continue
+                index.clear()
+                index.update(zip(names, range(len(names))))
+                end = run.end()  # read_netlist raises within the run
+            lines = text[pos:end].split("\n")
+            for _, kind, name, value, a, b in read_netlist(lines, index, lineno):
+                if kind is OUTPUT:
+                    outputs.append(name)
+                    continue
+                index[name] = len(names)
+                names.append(name)
+                kinds.append(kind)
+                first.append(a)
+                second.append(b)
+                values.append(value)
+                if kind is INPUT:
+                    inputs.append(name)
+            lineno += len(lines) - 1
+            pos = end
         for attr, column in zip(("names", "kinds", "first", "second", "values",
                                  "outputs", "inputs"), columns):
             object.__setattr__(self, attr, tuple(column))
@@ -128,7 +171,16 @@ class Circuit:
                 f"outputs={len(self.outputs)})")
 
 
-def read_netlist(lines: Iterable[str], index: dict) -> Iterator[tuple]:
+def _const_run(text: str, pos: int) -> re.Match | None:
+    """The first run of canonical const lines in text at or after pos that
+    starts a line, or None."""
+    run = _CONST_RUN.search(text, pos)
+    while run and run.start() and text[run.start() - 1] != "\n":
+        run = _CONST_RUN.search(text, run.start() + 1)
+    return run
+
+
+def read_netlist(lines: Iterable[str], index: dict, start: int = 1) -> Iterator[tuple]:
     """Check netlist lines one at a time and resolve their operands.
 
     Yields ``(line, kind, name, value, a, b)`` per definition line and
@@ -145,7 +197,7 @@ def read_netlist(lines: Iterable[str], index: dict) -> Iterator[tuple]:
     value, name syntax, duplicate name, operands defined above.  The first
     fault raises NetlistError at its line.  Lines may keep their newline.
     """
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start):
         if "#" in raw:
             raw = raw[:raw.index("#")]
         tokens = raw.split()

@@ -59,8 +59,10 @@ gate as its canonical netlist line, the text ``emit_netlist`` would write,
 and keeps no set of the names it has written.  ``railcirc compile-tm``
 writes that text as it is; ``compile_tm`` and ``compile_tm_flattened``
 parse it with ``parse_netlist``, and every subcommand reads a netlist file
-through the same scanner, ``read_netlist``, the one place a name defined
-twice or an operand read before its definition is refused.
+through the same check, the one place a name defined twice or an operand
+read before its definition is refused.  Most of the text is const lines,
+and a parse checks each run of them at a time; every other line goes to
+the scanner ``read_netlist``.
 
 Wire naming contract: the one-hot wire for symbol index k of cell (r, c) is
 ``c_{r}_{c}_{k}``, with k indexing ``cell_alphabet(tm)``.  These names are

@@ -69,7 +69,8 @@ def _output_masks(c: Circuit, wires) -> list[int]:
     cone = Cone(c, wires)
     outs = [0] * len(wires)
     for base, masks, full in assignment_blocks(len(c.inputs), cone.peak):
-        outs = [o | v << base for o, v in zip(outs, cone.evaluate(masks, full))]
+        for i, v in enumerate(cone.evaluate(masks, full)):
+            outs[i] |= v << base
     return outs
 
 

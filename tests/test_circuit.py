@@ -125,6 +125,8 @@ def _fault_line(kind, rng, above, below):
         return f"not 9fresh {a}", "invalid name '9fresh'"
     if kind == "duplicate":
         return f"input {a}", f"duplicate name {a!r}"
+    if kind == "const-duplicate":  # a canonical const line, so part of a run
+        return f"const {a} 1", f"duplicate name {a!r}"
     if kind == "undefined-operand":
         return f"or fresh {a} ghost", "undefined reference 'ghost' in gate 'fresh'"
     if kind == "early-output":
@@ -134,22 +136,33 @@ def _fault_line(kind, rng, above, below):
 
 
 _FAULT_KINDS = ("keyword", "token-count", "const-value", "name", "duplicate",
-                "undefined-operand", "early-output", "reserved-separator")
+                "const-duplicate", "undefined-operand", "early-output",
+                "reserved-separator")
 
 
 def test_parse_and_flatten_report_the_same_first_fault():
     """On generated netlists with one fault of each kind at a random line,
     and often a second fault of any kind below it, parse_netlist and the
     streamed rewrite raise at the first faulty line with one message.  The
-    reserved separator is a fault of the rewrite only."""
+    reserved separator is a fault of the rewrite only.  Runs of canonical
+    const lines sit between the lines, and half the faults go inside or
+    just after one: the rewrite checks them one line at a time."""
     rng = random.Random(1212)
     for _ in range(40):
         c = random_circuit(rng, max_inputs=5, max_gates=25)
         lines = messy_netlist(rng, c, early_outputs=rng.random() < 0.5).splitlines(True)
+        for r in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(lines))
+            lines[at:at] = [f"const k{r}_{i} {rng.randint(0, 1)}\n"
+                            for i in range(rng.randint(1, 6))]
+        after_const = [i + 1 for i, line in enumerate(lines) if line.startswith("const ")]
         defines = [_defined_name(line) for line in lines]
         first = 1 + next(i for i, d in enumerate(defines) if d)
         for kind in _FAULT_KINDS:
-            at = rng.randint(first, len(lines))
+            if rng.random() < 0.5:
+                at = rng.choice(after_const)
+            else:
+                at = rng.randint(first, len(lines))
             above = [d for d in defines[:at] if d]
             below = [d for d in defines[at:] if d]
             bad, message = _fault_line(kind, rng, above, below)
@@ -169,6 +182,38 @@ def test_parse_and_flatten_report_the_same_first_fault():
                     parse_netlist(text)
                 assert (parsed.value.line, str(parsed.value)) == (flat.value.line,
                                                                    str(flat.value))
+
+
+def _outcome(text):
+    """What parse_netlist makes of text: the Circuit, or the line and
+    message of its first fault."""
+    try:
+        return parse_netlist(text)
+    except NetlistError as exc:
+        return exc.line, str(exc)
+
+
+# Const lines checked as a run report what the per-line check reports: a
+# tab after the keyword keeps a line off the run path.  ``line`` is the
+# first faulty line, None where there is none.
+@pytest.mark.parametrize("text, line", [
+    ("input a\nconst k 0\nconst a 1\noutput a\n", 3),
+    ("input x\nconst k 0\nconst j 1\nconst k 1\nconst m 0\n", 4),
+    ("const k 0\nconst j 1\nand g k ghost\n", 3),
+    ("const k 0\nconst j 1\ninput j\n", 3),
+    ("#const q 0\nconst q 1\noutput q\n", None),
+    ("  const q 0\nconst q 1\n", 2),
+    ("input x\nconst q 1", None),
+    ("const q 0\nconst q 1", 2),
+    ("const k 0\nconst j 10\n", 2),
+], ids=["redefines-a-name-above", "repeats-a-name-within", "fault-after-a-run",
+        "duplicate-after-a-run", "commented-const", "indented-const",
+        "no-final-newline", "no-final-newline-duplicate", "value-runs-on"])
+def test_const_runs_report_what_the_per_line_path_reports(text, line):
+    got = _outcome(text)
+    assert got == _outcome(text.replace("const ", "const\t"))
+    assert got == _outcome(text.replace("\n", "\r\n"))
+    assert (got[0] if isinstance(got, tuple) else None) == line
 
 
 # Faulty gates, one netlist line each, so the gate at position pos is on line

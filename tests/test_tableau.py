@@ -13,6 +13,7 @@ from railcirc import (ACCEPT, AND, BLANK, CONST, FLATTENED, INPUT, NOT, OR,
                       evaluate, exhaustive_equiv, initial_configuration,
                       parse_netlist, parse_tm, run, stats, step, tableau_trace,
                       wire_values)
+from railcirc import circuit
 from railcirc.bitsim import evaluate_masks, full_mask, input_masks
 from railcirc.cli import main
 from railcirc.tableau import DEFAULT_GATE_CAP, SIZE_COEFF, compile_netlist
@@ -441,6 +442,8 @@ def test_fold_is_complete_on_generated_machines():
         t = rng.randint(max(1, n - 1), 12)
         where = (tm.delta, n, t)
         raw, flat = compile_tm(tm, n, t), compile_tm_flattened(tm, n, t)
+        for flattened, c in ((False, raw), (True, flat)):
+            assert _parsed_line_by_line(tm, n, t, flattened) == c, where
         _assert_folded(raw, where)
         _assert_folded(flat, where)
         sr, sf = stats(raw), stats(flat)
@@ -482,6 +485,38 @@ def test_netlists_match_recorded_digests():
         got = tuple(hashlib.sha256(emit_netlist(compile_(tm, n, t)).encode())
                     .hexdigest() for compile_ in (compile_tm, compile_tm_flattened))
         assert got == digests, (name, n, t)
+
+
+def _parsed_line_by_line(tm, n, t, flattened):
+    """The compile's netlist parsed with a tab after each const keyword, so
+    that no const line is checked as part of a run."""
+    text = compile_netlist(tm, n, t, flattened, DEFAULT_GATE_CAP)
+    return parse_netlist(text.replace("const ", "const\t"))
+
+
+def test_const_runs_parse_as_their_lines():
+    for name, n, t in NETLIST_DIGESTS:
+        tm = parse_tm(fixture_text(name))
+        assert _parsed_line_by_line(tm, n, t, False) == compile_tm(tm, n, t)
+        assert _parsed_line_by_line(tm, n, t, True) == compile_tm_flattened(tm, n, t)
+
+
+def test_compiled_const_lines_are_checked_a_run_at_a_time(monkeypatch):
+    # Only the lines outside the const runs reach the per-line check: at
+    # parity n=6, t=24 that is 512 of the 11,360 lines.
+    handed = []
+    read_netlist = circuit.read_netlist
+
+    def counting(lines, index, start=1):
+        lines = list(lines)
+        handed.extend(line for line in lines if line.strip())
+        return read_netlist(lines, index, start)
+
+    monkeypatch.setattr(circuit, "read_netlist", counting)
+    c = compile_tm(parse_tm(fixture_text("parity.tm")), 6, 24)
+    assert len(c.names) + len(c.outputs) == 11_360
+    assert len(handed) == 512
+    assert not any(line.startswith("const") for line in handed)
 
 
 # sha256 over compile_netlist's raw, then flattened, text of each of 40
