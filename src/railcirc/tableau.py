@@ -42,17 +42,20 @@ pass counts the gates exactly, so the gate cap is checked first.  The
 build then follows the tags.  A ``c_r_c_k`` wire that folds to a constant
 is a const gate; one that folds to a single other wire is an OR buffer of
 it, and its readers read that wire itself, so a row that only carries
-wires forward adds no level.  An internal wire that folds, or that no
-built gate reads, is not built, and no AND or OR reads a const.
+wires forward adds no level.  Row 0 is no exception: its buffers of the
+input rails are written, and their readers read the rails.  An internal
+wire that folds, or that no built gate reads, is not built, and no AND or
+OR reads a const or a buffer.
 
 After r steps the head is at column r or less, so a cell the head never
 reaches, such as (r, c) with c > r, folds to a copy of row 0: a const where
-row 0 has a const, else a buffer whose readers read the row-0 wire.  On
+row 0 has a const, else a buffer of the rail that row 0 buffers.  On
 every raw input and every complementary rail assignment this equals
 simulating the cell; a rail pair of two equal bits is outside the
 flattened circuit's domain.  The logic a row adds then stays the same as t
 grows, and the depth grows with the rows in which the head's moves depend
-on the input: parity at n=6 has depth 16 at both t=24 and t=64.
+on the input: parity at n=6 has depth 15 (14 flattened) at both t=24 and
+t=64.
 
 The compile builds no Gate and no Circuit: ``compile_netlist`` writes each
 gate as its canonical netlist line, the text ``emit_netlist`` would write,
@@ -336,8 +339,9 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
 
     # Row 0: the input bits, then blanks, with the head in the start state
     # on cell 0, whose entries are (start, symbol).  The entries for 0 and 1
-    # buffer the rails of the cell's input bit (row0 holds the rail name);
-    # every other entry is a const, 1 only for the blank beyond the input.
+    # buffer the rails of the cell's input bit (row0 holds the rail name),
+    # and their readers read the rail; every other entry is a const, 1 only
+    # for the blank beyond the input.
     row0: list[str | int] = []
     for c in range(cols):
         zero, one, blank = ((tm.start, s) if c == 0 else s
@@ -375,40 +379,43 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
     lines = inputs
     aux = 0
 
-    def or_tree(leaves: list[tuple[int, str]], name: str) -> tuple[int, str]:
-        """OR of (depth, wire) leaves into name, merging the two shallowest
-        first; one leaf gets an OR buffer.  Returns the (depth, wire) that
-        readers of name read: the leaf itself behind a buffer."""
+    def or_tree(leaves: list[tuple[int, str, str]],
+                name: str) -> tuple[int, str, str]:
+        """OR of (depth, key, wire) leaves into name, merging the two
+        shallowest first, ties broken by key; one leaf gets an OR buffer.
+        Returns the (depth, key, wire) that readers of name read: the leaf
+        itself behind a buffer."""
         nonlocal aux
         if len(leaves) == 1:
-            a = leaves[0][1]
+            a = leaves[0][2]
             lines.append(f"or {name} {a} {a}")
             return leaves[0]
         if len(leaves) > 2:
             heapify(leaves)
             while len(leaves) > 2:
-                a = heappop(leaves)[1]
-                d, b = leaves[0]
+                a = heappop(leaves)[2]
+                d, _, b = leaves[0]
                 node = f"t{aux}"
                 aux += 1
                 lines.append(f"or {node} {a} {b}")
-                heapreplace(leaves, (d + 1, node))
-        (d, a), (e, b) = leaves
+                heapreplace(leaves, (d + 1, node, node))
+        (d, _, a), (e, _, b) = leaves
         lines.append(f"or {name} {a} {b}")
-        return max(d, e) + 1, name
+        return max(d, e) + 1, name, name
 
-    # wires[c * na + k]: the (depth, name) a reader of wire k of
+    # wires[c * na + k]: the (depth, key, wire) a reader of wire k of
     # previous-row cell c reads, None for a const.  A wire that folds to one
     # other wire is a buffer of it for the naming contract, and its readers
-    # read the other wire, so a cell the head never reaches reads row 0.
-    # Depths count from row 0, so that the raw and the flattened compile
-    # shape their trees alike.
+    # read the other wire: a row-0 wire's rail, so a cell the head never
+    # reaches reads the rails.  Depths count from row 0, and a rail's key
+    # is its row-0 name, so that the raw and the flattened compile shape
+    # their trees alike.
     wires: list = []
     for i, v in enumerate(row0):
         name = f"c_0_{i // na}_{i % na}"
         lines.append(f"or {name} {v} {v}" if type(v) is str
                      else f"const {name} {v}")
-        wires.append((0, name) if type(v) is str else None)
+        wires.append((0, name, v) if type(v) is str else None)
 
     beyond = [None] * na  # the wires of a cell beyond the grid: never read
     unset = [None] * (tmp + 1 - nh)  # slots nh..tmp before the cell is built
@@ -437,9 +444,9 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
                     name = f"t{aux}"
                     aux += 1
                 if op == AND:
-                    (da, a), (db, b) = w[args[0]], w[args[1]]
+                    (da, _, a), (db, _, b) = w[args[0]], w[args[1]]
                     lines.append(f"and {name} {a} {b}")
-                    w[slot] = (max(da, db) + 1, name)
+                    w[slot] = (max(da, db) + 1, name, name)
                 else:
                     w[slot] = or_tree([w[s] for s in args], name)
             wires += w[t0:tmp]

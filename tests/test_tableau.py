@@ -274,7 +274,8 @@ def test_invariants_on_generated_machines():
         report = exhaustive_equiv(raw, flat, FLATTENED)
         assert report is None, (where, report.to_line())
         # outside the light cone, c > r, every wire copies row 0: a const
-        # where row 0 has one, else an OR buffer of the row-0 wire
+        # where row 0 has one, else an OR buffer of the wire the row-0
+        # buffer reads
         for c_ in (raw, flat):
             rows = map(str.split, gate_lines(c_).splitlines())
             gate = {row[1]: row for row in rows}
@@ -285,7 +286,7 @@ def test_invariants_on_generated_machines():
                         if g0[0] == CONST:
                             assert g == [CONST, g[1], g0[2]], (where, g)
                         else:
-                            assert g == [OR, g[1], g0[1], g0[1]], (where, g)
+                            assert g == [OR, g[1], g0[2], g0[2]], (where, g)
 
 
 def test_empty_input_circuit():
@@ -375,12 +376,12 @@ def test_factored_compile_is_small_and_shallow():
     # keep/arrive factoring, OR trees that merge their two shallowest
     # operands first and the fold of the input-independent wires, which
     # knows that a cell with no head holds a plain symbol, give 11,359
-    # gates of depth 16 (15 flattened) at t=24 and 76,319 of depth 16 (15)
+    # gates of depth 15 (14 flattened) at t=24 and 76,319 of depth 15 (14)
     # at t=64.  Without the fold they were 23,848 / 147 and 164,668 / 388;
     # building every cell, with balanced trees in leaf order, took 36,344
     # gates of depth 264 at t=24
     tm = parse_tm(fixture_text("parity.tm"))
-    for t, most, deepest in ((24, 11_400, 16), (64, 76_400, 16)):
+    for t, most, deepest in ((24, 11_400, 15), (64, 76_400, 15)):
         for compile_ in (compile_tm, compile_tm_flattened):
             s = stats(compile_(tm, 6, t))
             assert s.total_gates <= most, (t, compile_.__name__)
@@ -391,7 +392,7 @@ def test_depth_per_row():
     # Once the machine has halted on every input a row adds no level: its
     # wires are consts, or buffers whose readers read the buffered wire.
     # While the head reads the input, contains_one adds one level per row
-    # (35 at n=31, t=32; 67 at n=63, t=64).  Unfolded, a row added about 6
+    # (34 at n=31, t=32; 66 at n=63, t=64).  Unfolded, a row added about 6
     # (193 from t=32 to t=64 at n=2).
     tm = parse_tm(fixture_text("contains_one.tm"))
     depth = {t: stats(compile_tm(tm, 2, t)).depth for t in (32, 64)}
@@ -418,9 +419,9 @@ def test_logic_per_row_stops_growing(name, n, per_row):
 
 
 def _assert_folded(c, where):
-    """No AND or OR reads a const; a const or an OR(x, x) buffer is a
-    c_r_c_k wire or the output; every other gate but an input or an input
-    NOT is read by some gate."""
+    """No AND or OR reads a const or an OR(x, x) buffer; a const or a
+    buffer is a c_r_c_k wire or the output; every other gate but an input
+    or an input NOT is read by some gate."""
     kinds, first, second = c.kinds, c.first, c.second
     read = set(first) | set(second)
     for pos, name in enumerate(c.names):
@@ -428,6 +429,9 @@ def _assert_folded(c, where):
         contract = name == "accepted" or re.fullmatch(r"c_\d+_\d+_\d+", name)
         if kind in (AND, OR):
             assert CONST not in (kinds[a], kinds[b]), (where, name)
+            for op in (a, b):
+                assert kinds[op] != OR or first[op] != second[op], \
+                    (where, name, c.names[op])
         if kind == CONST or kind == OR and a == b:
             assert contract, (where, name)
         elif kind not in (INPUT, NOT) and not contract:
@@ -455,21 +459,60 @@ def test_fold_is_complete_on_generated_machines():
             compile_tm(tm, n, t, gate_cap=exact - 1)
 
 
+def test_fold_is_complete_on_the_fixtures():
+    for name, n, t in NETLIST_DIGESTS:
+        tm = parse_tm(fixture_text(name))
+        where = (name, n, t)
+        _assert_folded(compile_tm(tm, n, t), where)
+        _assert_folded(compile_tm_flattened(tm, n, t), where)
+
+
+def test_raw_and_flattened_share_one_body():
+    # Past the input layer the two texts are one: drop the raw input and
+    # NOT lines and the flattened input lines, and name the raw rails as
+    # the flattened ones.
+    def body(text, rails):
+        return [" ".join(rails.get(w, w) for w in line.split())
+                for line in text.splitlines()
+                if not line.startswith(("input ", "not "))]
+
+    for seed in (5, 2026):
+        rng = random.Random(seed)
+        for _ in range(120):
+            tm = _random_machine(rng)
+            n = rng.randint(0, 5)
+            t = rng.randint(max(1, n - 1), 9)
+            rails = {f"x{i}{suffix}": f"x{i}__{bit}" for i in range(n)
+                     for suffix, bit in (("", 1), ("_not", 0))}
+            raw, flat = (compile_netlist(tm, n, t, flattened, DEFAULT_GATE_CAP)
+                         for flattened in (False, True))
+            assert body(raw, rails) == body(flat, {}), (seed, tm.delta, n, t)
+
+
+def test_benchmark_tableau_figures():
+    # the gates and depth the tableau workload of bench/run.py reports:
+    # parity at n=6, t=24, raw plus flattened
+    tm = parse_tm(fixture_text("parity.tm"))
+    raw, flat = stats(compile_tm(tm, 6, 24)), stats(compile_tm_flattened(tm, 6, 24))
+    assert raw.total_gates + flat.total_gates == 22_718
+    assert max(raw.depth, flat.depth) == 15
+
+
 # sha256 of emit_netlist(compile_tm(...)) and of compile_tm_flattened, per
 # (fixture, n, t)
 NETLIST_DIGESTS = {
     ("contains_one.tm", 6, 24): (
-        "16fe93d87b37c50a6ceb05f0c0ea64bdc44c2cf9c6fc04ea578808560ca243d7",
-        "7f3e813ecdc29f68a1b316de1cedeb5fd832268e59d742de1ab0c1103c41f8bb"),
+        "ee0b06b87672fc72d76ce6d777d1d0a44032ef9805a0432d674e36e9c4bb9e94",
+        "1f74d4ed0f732858c2a1773a06c0a3546030e6a484b1125a9cc247df1f4c3814"),
     ("contains_one.tm", 2, 8): (
-        "ad79d26085d9e10e157500f67a39705645b68d39f057989c5aff57df77a22f87",
-        "6b3caa13d042df519a8824e6b13476e00057a34af1ac3c29b3bd0ba7277335f0"),
+        "0806c98ebe90da158c551cf11b0dec1e0a2983d83896cc6a4cdc0bd82d10292f",
+        "929eff623714d662990b1d7098619c30f9d51a4b16cb2ee92d4b6c6140a1015c"),
     ("parity.tm", 6, 24): (
-        "85c13c521aab8aa843bcff721136d635c1d6315d79ab220836b08d1134bdfdd8",
-        "19a2b6e20134f5d50c19f6423adbc02619b7ae8c7198c8f9e28a3f25b3ee9e3b"),
+        "aea3a190d02d0ee77daba38495bdca226f6ec84bca706239f95cc5a2ec1fbc93",
+        "7062d104583715a1c8144c5efee6569748ae611581c65b2f95e8475f7ea5ff94"),
     ("parity.tm", 2, 8): (
-        "c8667d4cf9b6b6f54570737e1e6a88681b5c58e28b9044bce982abb1fb14d3e5",
-        "b30bc0b67bbe8e800918a72b05871000f6a0a84619ea4a6486fa071157ab62a9"),
+        "de4003265076bc7a7e83443e74b1300fc5e11d9e31a6de66b439205b0df83f42",
+        "615ee354212d450ccd8bab1769c50aced2d508451a5a45ebb413a23bba7c7c48"),
 }
 
 
@@ -523,7 +566,7 @@ def test_compiled_const_lines_are_checked_a_run_at_a_time(monkeypatch):
 # generated machines, n and t drawn as in
 # test_fold_is_complete_on_generated_machines.  Like NETLIST_DIGESTS it is
 # re-recorded only by a change that alters the construction on purpose.
-GENERATED_DIGEST = "82682e8d984f04169ec4b79d4dfb42364681bc53b6e3433c5912536f1073200d"
+GENERATED_DIGEST = "71436614b0058ce057ac76ee635481d194a766fcbbe61e6fc29ea24bc7e8a9ac"
 
 
 def test_generated_netlists_match_recorded_digest():
