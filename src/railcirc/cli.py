@@ -92,7 +92,8 @@ def _cmd_verify_eq_refute(args) -> int:
 def _cmd_stream_flatten(args) -> int:
     del args
     reads = iter(functools.partial(sys.stdin.read, 8192), "")
-    result = stream_flatten((read.replace("\n", "") for read in reads), sys.stdout)
+    bits = (read.replace("\r", "").replace("\n", "") for read in reads)
+    result = stream_flatten(bits, sys.stdout)
     print(f"read={result.input_bits_read} written={result.output_bits_written} "
           f"peak_state_bits={result.peak_state_bits}", file=sys.stderr)
     return 0

@@ -57,15 +57,16 @@ grows, and the depth grows with the rows in which the head's moves depend
 on the input: parity at n=6 has depth 15 (14 flattened) at both t=24 and
 t=64.
 
-The compile builds no Gate and no Circuit: ``compile_netlist`` writes each
-gate as its canonical netlist line, the text ``emit_netlist`` would write,
-and keeps no set of the names it has written.  ``railcirc compile-tm``
-writes that text as it is; ``compile_tm`` and ``compile_tm_flattened``
-parse it with ``parse_netlist``, and every subcommand reads a netlist file
-through the same check, the one place a name defined twice or an operand
-read before its definition is refused.  Most of the text is const lines,
-and a parse checks each run of them at a time; every other line goes to
-the scanner ``read_netlist``.
+The compile builds no Gate and no Circuit.  ``compile_netlist`` runs three
+passes: ``_rule`` reads the machine, ``_tag_pass`` folds and counts rows
+1..t, and ``_write`` writes each gate as its canonical netlist line, the
+text ``emit_netlist`` would write, keeping no set of the names it has
+written.  ``railcirc compile-tm`` writes that text as it is; ``compile_tm``
+and ``compile_tm_flattened`` parse it with ``parse_netlist``, and every
+subcommand reads a netlist file through the same check, the one place a name
+defined twice or an operand read before its definition is refused.  Most of
+the text is const lines, and a parse checks each run of them at a time;
+every other line goes to the scanner ``read_netlist``.
 
 Wire naming contract: the one-hot wire for symbol index k of cell (r, c) is
 ``c_{r}_{c}_{k}``, with k indexing ``cell_alphabet(tm)``.  These names are
@@ -77,8 +78,8 @@ from __future__ import annotations
 
 from functools import cache
 from heapq import heapify, heappop, heapreplace
-from itertools import groupby, product
-from typing import NamedTuple, Union
+from itertools import count, groupby, product
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .bitsim import wire_values
 from .circuit import AND, CONST, OR, Circuit, parse_netlist
@@ -178,21 +179,28 @@ class _Cell(NamedTuple):
     ops: tuple[tuple, ...]
 
 
-def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
-                    gate_cap: int) -> str:
-    """The netlist text of ``compile_tm`` (``compile_tm_flattened`` when
-    flattened), as ``emit_netlist`` writes it; raises GateCapError before
-    any line is written if the circuit would exceed gate_cap gates."""
-    _check_dims(n, t)
+class _Rule(NamedTuple):
+    """A machine's tables, each transition read once, its window's slot
+    layout, and ``fold``, memoized on the window alone, one memo per rule."""
+
+    na: int
+    n_sym: int  # tape symbols take cell indices 0..n_sym-1
+    here: tuple[list[list[int]], list[list[int]]]
+    moves: dict[int, tuple[str, str]]
+    guards: list[tuple[str, list[int]]]
+    guarded: list[tuple[int, int] | None]
+    accepts: list[int]  # the accept state's head pairs, by tape symbol
+    nh: int
+    t0: int
+    tmp: int
+    fold: Callable[[bytes], _Cell]
+
+
+def _rule(tm: TuringMachine) -> _Rule:
+    """The rule by which the cells of rows 1..t of tm fold."""
     cells = cell_alphabet(tm)
     index = {entry: k for k, entry in enumerate(cells)}
-    cols = t + 1
-    na = len(cells)
-    if (t + 1) * cols * na > gate_cap:
-        raise GateCapError(
-            f"grid alone needs {(t + 1) * cols * na} gates, cap is {gate_cap}")
-
-    n_sym = len(tm.alphabet)  # tape symbols take cell indices 0..n_sym-1
+    na, n_sym = len(cells), len(tm.alphabet)
 
     # The machine's two tables, filled by one read of each transition.
     # here[at_wall][k]: the head pairs whose step leaves target k on the
@@ -318,12 +326,134 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
         return _Cell(bytes(tags), cost, (sym_l in used, sym_r in used),
                      tuple(blocks))
 
+    return _Rule(na, n_sym, here, moves, guards, guarded,
+                 [index[(tm.accept, s)] for s in tm.alphabet], nh, t0, tmp, fold)
+
+
+def _tag_pass(rule: _Rule, last: bytes, t: int) -> tuple[list, list[int] | None, int]:
+    """Fold rows 1..t from row 0's tags, last, keeping the previous row's
+    tags only, and write nothing.  Returns per row its cells and the sym_
+    columns they read, the accept OR's leaves (None: const 1), and the
+    exact gate count of the folds, the sym_ trees read and the accept tree."""
+    na, n_sym, fold = rule.na, rule.n_sym, rule.fold
     # Beyond either end of the grid: no head, so the grid edges count as
     # symbols and send no head in.  A row is padded with them once, and cell
     # c's window is then the slice of padded cells c..c+2.  The edge's tags
     # are all const 0 and a grid cell's never are, as cells are one-hot, so
     # a window whose left cell is all const 0 is one at the wall.
     edge = bytes(na)
+    folds, gates = [], 0
+    for _ in range(t):
+        padded = edge + last + edge
+        row = [fold(padded[c * na:(c + 3) * na]) for c in range(t + 1)]
+        read = sorted({c + d for c, cell in enumerate(row)
+                       for d, reads in zip((-1, 1), cell.sym) if reads})
+        gates += (sum(cell.cost for cell in row)
+                  + sum(last[c * na:c * na + n_sym].count(_X) - 1 for c in read))
+        last = b"".join([cell.tags for cell in row])
+        folds.append((row, read))
+    accept = _or_leaves([(_ZERO, _ONE, s)[last[s]] for s in
+                         (c * na + k for c in range(t + 1) for k in rule.accepts)])
+    return folds, accept, gates + max(len(accept or ()) - 1, 1)
+
+
+def _or_tree(lines: list[str], nodes: Iterator[int],
+             leaves: list[tuple[int, str, str]], name: str) -> tuple[int, str, str]:
+    """Append to lines an OR of (depth, key, wire) leaves into name, merging
+    the two shallowest first, ties broken by key, into inner nodes t{i}, i
+    drawn from nodes; one leaf gets an OR buffer.  Returns the (depth, key,
+    wire) that readers of name read: the leaf itself behind a buffer."""
+    if len(leaves) == 1:
+        a = leaves[0][2]
+        lines.append(f"or {name} {a} {a}")
+        return leaves[0]
+    if len(leaves) > 2:
+        heapify(leaves)
+        while len(leaves) > 2:
+            a = heappop(leaves)[2]
+            d, _, b = leaves[0]
+            node = f"t{next(nodes)}"
+            lines.append(f"or {node} {a} {b}")
+            heapreplace(leaves, (d + 1, node, node))
+    (d, _, a), (e, _, b) = leaves
+    lines.append(f"or {name} {a} {b}")
+    return max(d, e) + 1, name, name
+
+
+def _write(rule: _Rule, lines: list[str], row0: list[str | int], folds: list,
+           accept: list[int] | None) -> str:
+    """The netlist text: lines, the input layer, then row 0, the rows of
+    folds and the accept output.  Each gate is written as its canonical
+    netlist line, unchecked: the names are distinct by construction, and
+    read_netlist, the one scanner, refuses a name defined twice or an
+    operand read before its definition wherever the text is read."""
+    na, n_sym, t0, tmp = rule.na, rule.n_sym, rule.t0, rule.tmp
+    nodes = count()  # i of each inner OR node t{i}, in the order written
+    # wires[c * na + k]: the (depth, key, wire) a reader of wire k of
+    # previous-row cell c reads, None for a const.  A wire that folds to one
+    # other wire is a buffer of it for the naming contract, and its readers
+    # read the other wire: a row-0 wire's rail, so a cell the head never
+    # reaches reads the rails.  Depths count from row 0, and a rail's key
+    # is its row-0 name, so that the raw and the flattened compile shape
+    # their trees alike.
+    wires: list = []
+    for i, v in enumerate(row0):
+        name = f"c_0_{i // na}_{i % na}"
+        lines.append(f"or {name} {v} {v}" if type(v) is str
+                     else f"const {name} {v}")
+        wires.append((0, name, v) if type(v) is str else None)
+
+    beyond = [None] * na  # the wires of a cell beyond the grid: never read
+    unset = [None] * (tmp + 1 - rule.nh)  # slots nh..tmp before the cell is built
+    for r, (row, read) in enumerate(folds, 1):
+        pr = r - 1
+        sym = {c: _or_tree(lines, nodes, [v for v in wires[c * na:c * na + n_sym] if v],
+                           f"sym_{pr}_{c}") for c in read}
+
+        padded = beyond + wires + beyond
+        wires = []
+        for c, cell in enumerate(row):
+            w = padded[c * na:(c + 3) * na]
+            w += sym.get(c - 1), sym.get(c + 1)
+            w += unset
+            cell_prefix = f"c_{r}_{c}_"
+            for slot, label, op, args in cell.ops:
+                if op == CONST:  # a run of lines "const NAME VALUE"
+                    lines.append(args.replace("@", cell_prefix))
+                    continue
+                if type(label) is int:
+                    name = f"{cell_prefix}{label}"
+                elif label:
+                    name = f"{label}_{pr}_{c}"
+                else:
+                    name = f"t{next(nodes)}"
+                if op == AND:
+                    (da, _, a), (db, _, b) = w[args[0]], w[args[1]]
+                    lines.append(f"and {name} {a} {b}")
+                    w[slot] = (max(da, db) + 1, name, name)
+                else:
+                    w[slot] = _or_tree(lines, nodes, [w[s] for s in args], name)
+            wires += w[t0:tmp]
+
+    if accept:
+        _or_tree(lines, nodes, [wires[s] for s in accept], "accepted")
+    else:
+        lines.append(f"const accepted {int(accept is None)}")
+    lines.append("output accepted\n")
+    return "\n".join(lines)
+
+
+def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
+                    gate_cap: int) -> str:
+    """The netlist text of ``compile_tm`` (``compile_tm_flattened`` when
+    flattened), as ``emit_netlist`` writes it; raises GateCapError before
+    any line is written if the circuit would exceed gate_cap gates."""
+    _check_dims(n, t)
+    cells = cell_alphabet(tm)
+    cols, na = t + 1, len(cells)
+    if (t + 1) * cols * na > gate_cap:
+        raise GateCapError(
+            f"grid alone needs {(t + 1) * cols * na} gates, cap is {gate_cap}")
 
     # Input layer.  Standard mode spends the circuit's only NOT gates on the
     # complements of the inputs; flattened mode takes them as inputs instead.
@@ -349,114 +479,15 @@ def compile_netlist(tm: TuringMachine, n: int, t: int, flattened: bool,
         rails = {zero: zero_rail[c], one: one_rail[c]} if c < n else {}
         row0 += [rails.get(e, int(c >= n and e == blank)) for e in cells]
 
-    # Tag pass: the exact gate count before any gate is built, keeping the
-    # tags of the previous row only.  Every cell of rows 1..t folds by its
-    # window.  The count: one gate per input, input NOT and row-0 wire, each
-    # cell's fold, the sym_ trees the cells read, and the accept tree.
-    last = bytes(_X if type(v) is str else v for v in row0)
-    folds = []  # per row 1..t: its cells and the sym_ columns they read
-    total = 2 * n + cols * na
-    for _ in range(t):
-        padded = edge + last + edge
-        row = [fold(padded[c * na:(c + 3) * na]) for c in range(cols)]
-        read = sorted({c + d for c, cell in enumerate(row)
-                       for d, reads in zip((-1, 1), cell.sym) if reads})
-        total += (sum(cell.cost for cell in row)
-                  + sum(last[c * na:c * na + n_sym].count(_X) - 1 for c in read))
-        last = b"".join([cell.tags for cell in row])
-        folds.append((row, read))
-    accept = _or_leaves([(_ZERO, _ONE, s)[last[s]] for s in
-                         (c * na + index[(tm.accept, s)] for c in range(cols)
-                          for s in tm.alphabet)])
-    total += max(len(accept or ()) - 1, 1)
+    # The exact gate count before any gate is written: one gate per input,
+    # input NOT and row-0 wire, and what the tag pass counts.
+    rule = _rule(tm)
+    folds, accept, gates = _tag_pass(
+        rule, bytes(_X if type(v) is str else v for v in row0), t)
+    total = 2 * n + cols * na + gates
     if total > gate_cap:
         raise GateCapError(f"{total} gates exceed the cap of {gate_cap}")
-
-    # Each gate is written as its canonical netlist line, unchecked: the
-    # names are distinct by construction, and read_netlist, the one scanner,
-    # refuses a name defined twice or an operand read before its definition
-    # wherever the text is read.
-    lines = inputs
-    aux = 0
-
-    def or_tree(leaves: list[tuple[int, str, str]],
-                name: str) -> tuple[int, str, str]:
-        """OR of (depth, key, wire) leaves into name, merging the two
-        shallowest first, ties broken by key; one leaf gets an OR buffer.
-        Returns the (depth, key, wire) that readers of name read: the leaf
-        itself behind a buffer."""
-        nonlocal aux
-        if len(leaves) == 1:
-            a = leaves[0][2]
-            lines.append(f"or {name} {a} {a}")
-            return leaves[0]
-        if len(leaves) > 2:
-            heapify(leaves)
-            while len(leaves) > 2:
-                a = heappop(leaves)[2]
-                d, _, b = leaves[0]
-                node = f"t{aux}"
-                aux += 1
-                lines.append(f"or {node} {a} {b}")
-                heapreplace(leaves, (d + 1, node, node))
-        (d, _, a), (e, _, b) = leaves
-        lines.append(f"or {name} {a} {b}")
-        return max(d, e) + 1, name, name
-
-    # wires[c * na + k]: the (depth, key, wire) a reader of wire k of
-    # previous-row cell c reads, None for a const.  A wire that folds to one
-    # other wire is a buffer of it for the naming contract, and its readers
-    # read the other wire: a row-0 wire's rail, so a cell the head never
-    # reaches reads the rails.  Depths count from row 0, and a rail's key
-    # is its row-0 name, so that the raw and the flattened compile shape
-    # their trees alike.
-    wires: list = []
-    for i, v in enumerate(row0):
-        name = f"c_0_{i // na}_{i % na}"
-        lines.append(f"or {name} {v} {v}" if type(v) is str
-                     else f"const {name} {v}")
-        wires.append((0, name, v) if type(v) is str else None)
-
-    beyond = [None] * na  # the wires of a cell beyond the grid: never read
-    unset = [None] * (tmp + 1 - nh)  # slots nh..tmp before the cell is built
-    for r, (row, read) in enumerate(folds, 1):
-        pr = r - 1
-        sym = {c: or_tree([v for v in wires[c * na:c * na + n_sym] if v],
-                          f"sym_{pr}_{c}")
-               for c in read}
-
-        padded = beyond + wires + beyond
-        wires = []
-        for c, cell in enumerate(row):
-            w = padded[c * na:(c + 3) * na]
-            w += sym.get(c - 1), sym.get(c + 1)
-            w += unset
-            cell_prefix = f"c_{r}_{c}_"
-            for slot, label, op, args in cell.ops:
-                if op == CONST:  # a run of lines "const NAME VALUE"
-                    lines.append(args.replace("@", cell_prefix))
-                    continue
-                if type(label) is int:
-                    name = f"{cell_prefix}{label}"
-                elif label:
-                    name = f"{label}_{pr}_{c}"
-                else:
-                    name = f"t{aux}"
-                    aux += 1
-                if op == AND:
-                    (da, _, a), (db, _, b) = w[args[0]], w[args[1]]
-                    lines.append(f"and {name} {a} {b}")
-                    w[slot] = (max(da, db) + 1, name, name)
-                else:
-                    w[slot] = or_tree([w[s] for s in args], name)
-            wires += w[t0:tmp]
-
-    if accept:
-        or_tree([wires[s] for s in accept], "accepted")
-    else:
-        lines.append(f"const accepted {int(accept is None)}")
-    lines.append("output accepted\n")
-    return "\n".join(lines)
+    return _write(rule, inputs, row0, folds, accept)
 
 
 def config_cells(tm: TuringMachine, conf, cols: int) -> list[CellSymbol]:

@@ -231,6 +231,26 @@ def test_stream_flatten_junk_after_the_first_read(monkeypatch, capsys):
     assert captured.err == "error: non-bit symbol 'x' at position 8194\n"
 
 
+@pytest.mark.parametrize("tail", ["", "0x1"], ids=["bits", "junk"])
+@pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_stream_flatten_ignores_every_line_ending(monkeypatch, capsys, eol, tail):
+    # the first line fills the first 8192-character read but for one
+    # character, so a "\r\n" ending it straddles the read edge
+    rng = random.Random(13)
+    pieces = ["".join(rng.choice("01") for _ in range(8191))]
+    pieces += ["".join(rng.choice("01") for _ in range(rng.randint(1, 97)))
+               for _ in range(120)]
+    lf = "\n".join(pieces) + "\n" + tail
+    text = lf.replace("\n", eol)
+    assert text[8191:8191 + len(eol)] == eol
+    results = []
+    for stdin in (lf, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        results.append((main(["stream-flatten"]), *capsys.readouterr()))
+    assert results[1] == results[0]
+    assert results[0][0] == (2 if tail else 0)
+
+
 _FLATTEN_FAULTS = [
     ("input x\nnand g x x\n", 2, "unknown keyword 'nand'"),
     ("input x\nand g x\n", 2, "and line takes 3 token(s) after the keyword, got 2"),

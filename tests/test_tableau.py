@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import tracemalloc
+from itertools import count
 
 import pytest
 
@@ -13,7 +14,7 @@ from railcirc import (ACCEPT, AND, BLANK, CONST, FLATTENED, INPUT, NOT, OR,
                       evaluate, exhaustive_equiv, initial_configuration,
                       parse_netlist, parse_tm, run, stats, step, tableau_trace,
                       wire_values)
-from railcirc import circuit
+from railcirc import circuit, tableau
 from railcirc.bitsim import evaluate_masks, full_mask, input_masks
 from railcirc.cli import main
 from railcirc.tableau import DEFAULT_GATE_CAP, SIZE_COEFF, compile_netlist
@@ -354,6 +355,88 @@ def test_gate_cap_rejects_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+class _Written(Exception):
+    """Raised by a stub writer: the compile got past both cap checks."""
+
+
+def _refuse_to_write(*args):
+    raise _Written
+
+
+@pytest.mark.parametrize("name, n, windows", [
+    ("parity.tm", 6, 28), ("contains_one.tm", 6, 30),
+    ("parity.tm", 2, 22), ("contains_one.tm", 2, 19)])
+def test_one_rule_folds_each_window_once_at_every_budget(monkeypatch, name, n,
+                                                         windows):
+    # fold is memoized on its window alone, so a rule reused across budgets
+    # folds no window twice, and longer budgets meet no new window
+    tm = parse_tm(fixture_text(name))
+    rule = tableau._rule(tm)
+    monkeypatch.setattr(tableau, "_rule", lambda tm: rule)
+    monkeypatch.setattr(tableau, "_write", _refuse_to_write)
+    for t in (24, 64, 128, 200):
+        with pytest.raises(_Written):
+            compile_netlist(tm, n, t, False, DEFAULT_GATE_CAP)
+        assert rule.fold.cache_info().currsize == windows, t
+
+
+def test_tag_pass_counts_without_writing(monkeypatch):
+    # the exact count of test_gate_cap_rejects_before_building, from the tag
+    # pass alone: the cap is checked against it before the writer runs
+    tm = parse_tm(fixture_text("parity.tm"))
+    n, t, na = 6, 200, len(cell_alphabet(tm))
+    passes = []
+    tag_pass = tableau._tag_pass
+    monkeypatch.setattr(tableau, "_tag_pass",
+                        lambda *args: passes.append(tag_pass(*args)) or passes[-1])
+    monkeypatch.setattr(tableau, "_write", _refuse_to_write)
+    with pytest.raises(_Written):
+        compile_netlist(tm, n, t, False, 728_031)
+    folds, accept, gates = passes[0]
+    assert len(folds) == t and all(len(row) == t + 1 for row, _ in folds)
+    assert gates + 2 * n + (t + 1) * na == 728_031
+    with pytest.raises(GateCapError, match="^728031 gates exceed"):
+        compile_netlist(tm, n, t, False, 728_030)
+
+
+def test_or_tree_merges_the_two_shallowest_first():
+    lines = []
+    leaves = [(3, "a", "a"), (0, "b", "b"), (1, "c", "c")]
+    assert tableau._or_tree(lines, count(), leaves, "out") == (4, "out", "out")
+    assert lines == ["or t0 b c", "or out t0 a"]
+
+
+def test_or_tree_breaks_depth_ties_by_key():
+    # by key, not by wire: wires a < b would merge a first
+    lines = []
+    leaves = [(0, "k2", "a"), (0, "k1", "b"), (0, "k3", "c")]
+    assert tableau._or_tree(lines, count(), leaves, "out") == (2, "out", "out")
+    assert lines == ["or t0 b a", "or out c t0"]
+
+
+def test_or_tree_buffers_one_leaf_and_returns_it():
+    lines = []
+    leaf = (5, "k", "w")
+    assert tableau._or_tree(lines, count(), [leaf], "out") is leaf
+    assert lines == ["or out w w"]
+
+
+def test_or_tree_depth_is_one_past_the_deepest_leaf():
+    lines = []
+    leaves = [(2, "a", "a"), (7, "b", "b")]
+    assert tableau._or_tree(lines, count(), leaves, "out") == (8, "out", "out")
+    assert lines == ["or out a b"]
+
+
+def test_or_trees_name_their_nodes_from_one_counter():
+    lines, nodes = [], count(4)
+    tableau._or_tree(lines, nodes, [(0, k, k) for k in "abcd"], "x")
+    tableau._or_tree(lines, nodes, [(0, k, k) for k in "efg"], "y")
+    assert lines == ["or t4 a b", "or t5 c d", "or x t4 t5",
+                     "or t6 e f", "or y g t6"]
+    assert next(nodes) == 7
 
 
 def test_size_bound_and_growth():
