@@ -23,7 +23,8 @@ from .verify import (FLATTENED, RAW, check_semantic_monotone,
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig: a leading byte-order mark is dropped, not read as text
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -46,7 +47,7 @@ def _cmd_flatten(args) -> int:
     if args.bits is not None:
         print(flatten_bits(args.bits))
         return 0
-    with open(args.circuit, "r", encoding="utf-8") as fh:
+    with open(args.circuit, "r", encoding="utf-8-sig") as fh:
         text = dual_rail_netlist(fh)
     sys.stdout.write(text)
     return 0

@@ -27,7 +27,9 @@ pair (q, g) is ``arrive_q AND holds g``, each ORed with the head-on-cell
 cases whose step writes it.  Every multi-input OR, the accept output
 included, merges its two shallowest operands first, which gives the least
 depth for their arrival times (Golumbic 1976); depths are kept for the
-previous row only.
+previous row only.  ``_rule`` lays this cell out once per machine as one
+table of ops, away from the wall and at it: ``nh_``, the guards, then per
+wire its guarded AND and the OR of its head-on-cell pairs and that AND.
 
 Much of the grid does not depend on the input: row 0 past the input, and
 every wire that would need the head where it is on no input.  Before any
@@ -37,12 +39,14 @@ one rule: an OR drops const-0 operands and is const 1 on a const-1 operand,
 an AND is const 0 on a const-0 operand and its other operand on a const-1
 one, and, as cells are one-hot, a neighbor whose head pairs are all const 0
 holds a plain symbol, so its ``sym_`` is const 1.  A window's tags fix how
-its cell folds, so that is worked out once per distinct window, and the
-pass counts the gates exactly, so the gate cap is checked first.  The
-build then follows the tags.  A ``c_r_c_k`` wire that folds to a constant
-is a const gate; one that folds to a single other wire is an OR buffer of
-it, and its readers read that wire itself, so a row that only carries
-wires forward adds no level.  Row 0 is no exception: its buffers of the
+its cell folds, so ``fold`` works that out once per distinct window: one
+forward pass folds the table's ops by this rule, and one backward walk
+drops every internal op that no kept op reads.  The pass counts the gates
+exactly, so the gate cap is checked first.  The build then follows the
+tags.  A ``c_r_c_k`` wire that folds to a constant is a const gate; one
+that folds to a single other wire is an OR buffer of it, and its readers
+read that wire itself, so a row that only carries wires forward adds no
+level.  Row 0 is no exception: its buffers of the
 input rails are written, and their readers read the rails.  An internal
 wire that folds, or that no built gate reads, is not built, and no AND or
 OR reads a const or a buffer.
@@ -58,10 +62,10 @@ on the input: parity at n=6 has depth 15 (14 flattened) at both t=24 and
 t=64.
 
 The compile builds no Gate and no Circuit.  ``compile_netlist`` runs three
-passes: ``_rule`` reads the machine, ``_tag_pass`` folds and counts rows
-1..t, and ``_write`` writes each gate as its canonical netlist line, the
-text ``emit_netlist`` would write, keeping no set of the names it has
-written.  ``railcirc compile-tm`` writes that text as it is; ``compile_tm``
+passes: ``_rule`` reads the machine into the cell's table, ``_tag_pass``
+folds and counts rows 1..t, and ``_write`` writes each gate as its
+canonical netlist line, the text ``emit_netlist`` would write, keeping no
+set of the names it has written.  ``railcirc compile-tm`` writes that text as it is; ``compile_tm``
 and ``compile_tm_flattened`` parse it with ``parse_netlist``, and every
 subcommand reads a netlist file through the same check, the one place a name
 defined twice or an operand read before its definition is refused.  Most of
@@ -161,6 +165,14 @@ def _and_value(a: int, b: int) -> int | None:
     return _ZERO if _ZERO in (a, b) else b if a == _ONE else a
 
 
+def _or_value(leaves: list[int] | None, slot: int) -> int:
+    """The folded value of an OR into slot that keeps leaves (_or_leaves):
+    const 1 on None, const 0 on no leaf, one leaf itself, else slot."""
+    if leaves is None:
+        return _ONE
+    return slot if len(leaves) > 1 else leaves[0] if leaves else _ZERO
+
+
 class _Cell(NamedTuple):
     """How a cell of rows 1..t folds, given the tags of its window.
 
@@ -180,34 +192,39 @@ class _Cell(NamedTuple):
 
 
 class _Rule(NamedTuple):
-    """A machine's tables, each transition read once, its window's slot
-    layout, and ``fold``, memoized on the window alone, one memo per rule."""
+    """What the passes read of a machine's cell rule: its window's slot
+    layout, the accept pairs, and ``fold``, memoized on the window alone,
+    one memo per rule."""
 
     na: int
     n_sym: int  # tape symbols take cell indices 0..n_sym-1
-    here: tuple[list[list[int]], list[list[int]]]
-    moves: dict[int, tuple[str, str]]
-    guards: list[tuple[str, list[int]]]
-    guarded: list[tuple[int, int] | None]
     accepts: list[int]  # the accept state's head pairs, by tape symbol
-    nh: int
     t0: int
     tmp: int
     fold: Callable[[bytes], _Cell]
 
 
 def _rule(tm: TuringMachine) -> _Rule:
-    """The rule by which the cells of rows 1..t of tm fold."""
+    """The rule by which the cells of rows 1..t of tm fold: the unfolded
+    cell, laid out once away from and once at the wall as a table of ops
+    (slot, label, kind, operand slots), and ``fold``, which folds it."""
     cells = cell_alphabet(tm)
     index = {entry: k for k, entry in enumerate(cells)}
     na, n_sym = len(cells), len(tm.alphabet)
 
-    # The machine's two tables, filled by one read of each transition.
-    # here[at_wall][k]: the head pairs whose step leaves target k on the
-    # head's own cell, away from and at the wall; a left move at the wall
-    # keeps the head in place, and a halting state's pair stays put.
-    # moves[p]: the state and the direction head pair p's step moves the
-    # head in; a halting state's pairs have none.
+    # A cell of rows 1..t reads a window of three previous-row cells: slots
+    # 0..na-1 hold its left neighbor's wires, na..2na-1 its own, 2na..3na-1
+    # its right neighbor's.  Past them come the neighbors' sym_ trees, the
+    # nh_ guard, one slot per guard, one per wire of the cell and one, tmp,
+    # for the guarded AND of the wire being built.
+    own, right = na, 2 * na
+    sym_l, sym_r, nh = 3 * na, 3 * na + 1, 3 * na + 2
+
+    # One read of each transition.  here[at_wall][k]: the slots of the head
+    # pairs whose step leaves target k on the head's own cell, away from and
+    # at the wall; a left move at the wall keeps the head in place, and a
+    # halting state's pair stays put.  moves[p]: the state and the direction
+    # head pair p's step moves the head in; a halting state's pairs have none.
     here = ([[] for _ in range(na)], [[] for _ in range(na)])
     moves: dict[int, tuple[str, str]] = {}
     for p, (q, s) in enumerate(cells[n_sym:], n_sym):
@@ -217,117 +234,96 @@ def _rule(tm: TuringMachine) -> _Rule:
             moves[p] = q2, d
             off_wall = index[s2]
             at_wall = index[(q2, s2)] if d == LEFT else off_wall
-        here[False][off_wall].append(p)
-        here[True][at_wall].append(p)
+        here[False][off_wall].append(own + p)
+        here[True][at_wall].append(own + p)
 
-    # A cell of rows 1..t reads a window of three previous-row cells: slots
-    # 0..na-1 hold its left neighbor's wires, na..2na-1 its own, 2na..3na-1
-    # its right neighbor's.  Past them come the neighbors' sym_ trees, the
-    # nh_ guard, one slot per guard, one per wire of the cell and one for
-    # the guarded AND of the wire being built.  A left neighbor's head pair
-    # enters moving right, a right neighbor's moving left: arrive_q ORs the
-    # pairs that enter in state q, numbered in the order they first enter,
-    # and keep ORs nh_ with the rest.
-    own, right = na, 2 * na
-    sym_l, sym_r, nh = 3 * na, 3 * na + 1, 3 * na + 2
-    g0 = nh + 1
+    # A left neighbor's head pair enters moving right, a right neighbor's
+    # moving left: arrive_q ORs the pairs that enter in state q, numbered in
+    # the order they first enter, and keep ORs nh_ with the rest.
     keep = [nh]
     arrive: dict[str, list[int]] = {}
     for base, enter in ((0, RIGHT), (right, LEFT)):
         for p in range(n_sym, na):
             q, d = moves.get(p, (None, None))
             (arrive.setdefault(q, []) if d == enter else keep).append(base + p)
-    guards = [("keep", keep)] + [(f"arrive{tm.states.index(q)}", srcs)
-                                 for q, srcs in arrive.items()]
+    head = [(nh, "nh", AND, (sym_l, sym_r)), (nh + 1, "keep", OR, keep)] + [
+        (nh + j, f"arrive{tm.states.index(q)}", OR, srcs)
+        for j, (q, srcs) in enumerate(arrive.items(), 2)]
+    t0 = nh + len(head)
+    tmp = t0 + na
     # guarded[k]: the slots of the guard and of the held symbol whose AND
     # produces k, None for a head pair no neighbor moves in as
-    guarded = [(g0, own + k) for k in range(n_sym)] + [None] * (na - n_sym)
-    for j, q in enumerate(arrive, 1):
+    guarded = [(nh + 1, own + k) for k in range(n_sym)] + [None] * (na - n_sym)
+    for j, q in enumerate(arrive, 2):
         for k, s in enumerate(tm.alphabet):
-            guarded[index[(q, s)]] = g0 + j, own + k
-    t0 = g0 + len(guards)
-    tmp = t0 + na
+            guarded[index[(q, s)]] = nh + j, own + k
+    # table[at_wall]: nh_, the guards, then per wire k its guarded AND into
+    # tmp and the OR of its head-on-cell pairs and that AND
+    table = (list(head), list(head))
+    for at_wall, ops in enumerate(table):
+        for k, pairs in enumerate(here[at_wall]):
+            if guarded[k]:
+                ops.append((tmp, None, AND, guarded[k]))
+                pairs.append(tmp)
+            ops.append((t0 + k, k, OR, pairs))
 
     @cache
     def fold(win: bytes) -> _Cell:
-        """Fold the cell by the rule of _or_leaves and _and_value, and by
-        one-hotness: a neighbor whose head pairs are all const 0 holds a
-        plain symbol.  What folds to a single wire is that wire; an
-        internal wire that no built gate reads is not built."""
-        wall = not any(win[:na])
+        """Fold the table in one forward pass, by the rule of _or_leaves and
+        _and_value, and by one-hotness: a neighbor whose head pairs are all
+        const 0 holds a plain symbol.  A grid wire that folds to a single
+        wire buffers it or is its own guarded AND.  Then one backward walk
+        drops every internal op that no kept op reads."""
         val = [(_ZERO, _ONE, slot)[tag] for slot, tag in enumerate(win)]
-        val += [_ZERO] * (3 + len(guards))
-        trees: dict[int, list[int]] = {}
-
-        def or_fold(slot: int, srcs) -> None:
-            leaves = _or_leaves([val[s] for s in srcs])
-            if leaves is None:
-                val[slot] = _ONE
-            elif len(leaves) > 1:
-                val[slot] = slot
-                trees[slot] = leaves
-            else:
-                val[slot] = leaves[0] if leaves else _ZERO
-
+        val += [_ZERO] * (tmp + 1 - len(val))
         for slot, base in ((sym_l, 0), (sym_r, right)):
-            if any(win[base + n_sym:base + na]):
-                or_fold(slot, range(base, base + n_sym))
+            val[slot] = (_or_value(_or_leaves(val[base:base + n_sym]), slot)
+                         if any(win[base + n_sym:base + na]) else _ONE)
+        tags = bytearray([_X]) * na
+        folded = []
+        for slot, label, kind, args in table[not any(win[:na])]:
+            operands = [val[s] for s in args]
+            if kind == AND:
+                v = _and_value(*operands)
+                val[slot] = v = slot if v is None else v
             else:
-                val[slot] = _ONE
-        a, b = val[sym_l], val[sym_r]
-        v = _and_value(a, b)
-        val[nh] = nh if v is None else v
-        for j, (_, srcs) in enumerate(guards):
-            or_fold(g0 + j, srcs)
-
-        tags = bytearray(na)
-        ops = []
-        for k in range(na):
-            leaves = [val[own + p] for p in here[wall][k]]
-            pair = None
-            if guarded[k]:
-                g, h = (val[slot] for slot in guarded[k])
-                v = _and_value(g, h)
-                if v is None:
-                    pair = (g, h)
-                else:
-                    leaves.append(v)
-            leaves = _or_leaves(leaves)
-            if leaves is None or not leaves and pair is None:
-                tags[k] = int(leaves is None)
-                ops.append((None, k, CONST, tags[k]))
-                continue
-            tags[k] = _X
-            if not leaves:
-                ops.append((t0 + k, k, AND, pair))
-                continue
-            if pair is not None:
-                ops.append((tmp, None, AND, pair))
-                leaves.append(tmp)
-            ops.append((t0 + k, k, OR, leaves))
-        used = {s for _, _, op, args in ops if op != CONST for s in args}
-        built = [(g0 + j, prefix, OR, trees[g0 + j])
-                 for j, (prefix, _) in enumerate(guards) if g0 + j in used]
-        for *_, leaves in built:
-            used.update(leaves)
-        if nh in used:
-            built.insert(0, (nh, "nh", AND, (a, b)))
-            used.update((a, b))
-        ops = built + ops
+                operands = _or_leaves(operands)
+                val[slot] = v = _or_value(operands, slot)
+            if v == slot:
+                folded.append((slot, label, kind, operands))
+            elif type(label) is int:
+                if v < 0:
+                    tags[label] = int(v == _ONE)
+                    folded.append((None, label, CONST, tags[label]))
+                elif v == tmp:  # its own guarded AND
+                    folded[-1] = (slot, label, AND, folded[-1][3])
+                else:  # a buffer of its one leaf
+                    folded.append((slot, label, OR, [v]))
+        # a grid wire is kept, an internal op only if a kept op reads it;
+        # a slot leaves the live set at its definition, as tmp is reused
+        live, ops = set(), []
+        for op in reversed(folded):
+            slot, label, kind, args = op
+            if type(label) is int or slot in live:
+                live.discard(slot)
+                if kind != CONST:
+                    live.update(args)
+                ops.append(op)
+        ops.reverse()
         # an OR of one leaf is a buffer
-        cost = sum(max(len(args) - 1, 1) if op == OR else 1
-                   for _, _, op, args in ops)
+        cost = sum(max(len(args) - 1, 1) if kind == OR else 1
+                   for _, _, kind, args in ops)
         blocks = []
         for const, run in groupby(ops, lambda op: op[2] == CONST):
             if const:
                 run = [(None, None, CONST, "\n".join(f"const @{k} {v}"
                                                      for _, k, _, v in run))]
             blocks += run
-        return _Cell(bytes(tags), cost, (sym_l in used, sym_r in used),
+        return _Cell(bytes(tags), cost, (sym_l in live, sym_r in live),
                      tuple(blocks))
 
-    return _Rule(na, n_sym, here, moves, guards, guarded,
-                 [index[(tm.accept, s)] for s in tm.alphabet], nh, t0, tmp, fold)
+    return _Rule(na, n_sym, [index[(tm.accept, s)] for s in tm.alphabet],
+                 t0, tmp, fold)
 
 
 def _tag_pass(rule: _Rule, last: bytes, t: int) -> tuple[list, list[int] | None, int]:
@@ -404,7 +400,7 @@ def _write(rule: _Rule, lines: list[str], row0: list[str | int], folds: list,
         wires.append((0, name, v) if type(v) is str else None)
 
     beyond = [None] * na  # the wires of a cell beyond the grid: never read
-    unset = [None] * (tmp + 1 - rule.nh)  # slots nh..tmp before the cell is built
+    unset = [None] * (tmp - 3 * na - 1)  # slots nh_ = 3na + 2 .. tmp, unset
     for r, (row, read) in enumerate(folds, 1):
         pr = r - 1
         sym = {c: _or_tree(lines, nodes, [v for v in wires[c * na:c * na + n_sym] if v],

@@ -314,6 +314,23 @@ def test_flatten_reads_every_line_ending(tmp_path, capsys):
         parse_netlist("input x\ninput y\nand g x y\noutput g\n")))
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", EQ_NOT], ["flatten", EQ_NOT], ["verify", "equiv", EQ_NOT, EQ_NOT],
+    ["compile-tm", CONTAINS_ONE, "-n", "2", "-t", "4"],
+    ["compile-tm", CONTAINS_ONE, "-n", "2", "-t", "4", "--flattened"]])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys, argv):
+    # a file saved with a UTF-8 byte-order mark reads as the file without it
+    marked = {}
+    for name in ("eq_not.net", "contains_one.tm"):
+        copy = tmp_path / name
+        copy.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+        marked[str(FIXTURES / name)] = str(copy)
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main([marked.get(arg, arg) for arg in argv]) == 0
+    assert capsys.readouterr() == plain
+
+
 def _chain_netlist(gates: int) -> str:
     """A seeded netlist of exactly ``gates`` gates: 16 inputs, then AND/OR
     gates over recent wires with every fifth gate a NOT, one output."""

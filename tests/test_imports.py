@@ -7,7 +7,9 @@ when it appears as an identifier anywhere in the module, annotations
 included.  A definition counts as read when a library or test module loads
 it, by name or as an attribute.  Test modules count because
 ``tableau.SIZE_COEFF``, the size bound the tableau tests check, is read
-only by them.
+only by them.  Every annotated field of a library class (``InitVar``
+fields aside, which are arguments and not fields) must be read as an
+attribute, ``x.field``, by a library or test module.
 """
 
 import ast
@@ -109,3 +111,61 @@ def test_every_definition_is_exported_or_read():
     exports = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     tests = tuple(p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py")))
     assert unread_definitions(modules, exports, tests) == []
+
+
+def fields(tree) -> dict[str, int]:
+    """Annotated class fields as class.field, with their lines, InitVar
+    fields aside."""
+    found = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not (isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)):
+                continue
+            kind = node.annotation
+            kind = kind.value if isinstance(kind, ast.Subscript) else kind
+            if getattr(kind, "id", getattr(kind, "attr", None)) != "InitVar":
+                found[f"{cls.name}.{node.target.id}"] = node.lineno
+    return found
+
+
+def attribute_reads(tree) -> set[str]:
+    """Attribute names a module loads."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(modules: dict[str, str], readers: tuple[str, ...] = ()) -> list[str]:
+    """Fields of classes in ``modules`` (file name -> source) that no module,
+    nor any source in ``readers``, reads as an attribute."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    read = set().union(*map(attribute_reads, trees.values()),
+                       *(attribute_reads(ast.parse(text)) for text in readers))
+    return [f"{module} line {line}: {name}"
+            for module, tree in trees.items()
+            for name, line in fields(tree).items()
+            if name.split(".")[1] not in read]
+
+
+def test_checker_finds_an_unread_field():
+    modules = {
+        "a.py": "from dataclasses import InitVar, dataclass\n"
+                "from typing import NamedTuple\n"
+                "@dataclass\nclass Box:\n    size: int\n    spare: int\n"
+                "    text: InitVar[str]\n    def grow(self):\n"
+                "        self.spare = self.size\n"
+                "class Pair(NamedTuple):\n    left: int\n    right: int\n",
+        "b.py": "from .a import Pair\nprint(Pair(1, 2).left)\n",
+    }
+    readers = ("def f(pair):\n    return pair.right\n",)
+    assert unread_fields(modules, readers) == ["a.py line 6: Box.spare"]
+    assert unread_fields(modules) == ["a.py line 6: Box.spare",
+                                      "a.py line 12: Pair.right"]
+
+
+def test_every_field_is_read():
+    modules = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in MODULES}
+    tests = tuple(p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py")))
+    assert unread_fields(modules, tests) == []

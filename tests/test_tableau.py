@@ -550,6 +550,38 @@ def test_fold_is_complete_on_the_fixtures():
         _assert_folded(compile_tm_flattened(tm, n, t), where)
 
 
+def test_folding_only_removes_gates(monkeypatch):
+    # Every window a compile meets costs no more than the unfolded cell, an
+    # all-input-dependent window (its left third all const 0 at the wall),
+    # and the unfolded cell plus its sym_ tree keeps the per-cell bound
+    # 2S + 4P - A that the SIZE_COEFF comment derives, A being the number
+    # of states some transition moves into.
+    make_rule = tableau._rule
+    monkeypatch.setattr(tableau, "_write", _refuse_to_write)
+    rng = random.Random(2026)
+    cases = [(tm, 6, 24) for tm in _machines()]
+    for _ in range(40):
+        tm = _random_machine(rng)
+        n = rng.randint(0, 5)
+        cases.append((tm, n, rng.randint(max(1, n - 1), 12)))
+    for tm, n, t in cases:
+        rule, met = make_rule(tm), set()
+        recording = rule._replace(fold=lambda win: met.add(win) or rule.fold(win))
+        monkeypatch.setattr(tableau, "_rule", lambda tm: recording)
+        with pytest.raises(_Written):
+            compile_netlist(tm, n, t, False, DEFAULT_GATE_CAP)
+        na, s = rule.na, len(tm.alphabet)
+        unfolded = bytes([tableau._X]) * 3 * na
+        cost = [rule.fold(unfolded).cost,
+                rule.fold(bytes(na) + unfolded[na:]).cost]
+        where = (tm.delta, n, t)
+        assert met, where
+        for win in met:
+            assert rule.fold(win).cost <= cost[not any(win[:na])], (where, win)
+        p, a = len(tm.states) * s, len({q for q, _, _ in tm.delta.values()})
+        assert max(cost) + s - 1 <= 2 * s + 4 * p - a, where
+
+
 def test_raw_and_flattened_share_one_body():
     # Past the input layer the two texts are one: drop the raw input and
     # NOT lines and the flattened input lines, and name the raw rails as
