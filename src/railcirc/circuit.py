@@ -25,10 +25,10 @@ one line at a time: the Circuit constructor and the streamed dual-rail
 rewrite both read it, so both report the first faulty line with the same
 message.  The one exception is a run of canonical const lines, ``const
 NAME 0|1`` with single spaces, each starting a line and ending in a
-newline, which is most of a compiled tableau.  The constructor checks such
-a run at a time: a name defined twice is its only possible fault, and a run
-that has one goes to ``read_netlist`` line by line, which reports it.  A
-Circuit is built from netlist text only (``parse_netlist``), so every
+newline, which is most of a compiled tableau, one run per grid row.  The
+constructor checks such a run at a time: a name defined twice is its only
+possible fault, and a run that has one goes to ``read_netlist`` line by
+line, which reports it.  A Circuit is built from netlist text only (``parse_netlist``), so every
 Circuit has passed that one check.  It stores what the check
 resolved, one column per field: names, kinds, operand positions and const
 values, all indexed by gate position.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 from .circuit import emit_dot, parse_netlist, stats
@@ -93,7 +94,10 @@ def _cmd_verify_eq_refute(args) -> int:
 def _cmd_stream_flatten(args) -> int:
     del args
     reads = iter(functools.partial(sys.stdin.read, 8192), "")
-    bits = (read.replace("\r", "").replace("\n", "") for read in reads)
+    # a leading byte-order mark is dropped, as when a file is read
+    first = next(reads, "").removeprefix("\ufeff")
+    bits = (read.replace("\r", "").replace("\n", "")
+            for read in itertools.chain((first,), reads))
     result = stream_flatten(bits, sys.stdout)
     print(f"read={result.input_bits_read} written={result.output_bits_written} "
           f"peak_state_bits={result.peak_state_bits}", file=sys.stderr)

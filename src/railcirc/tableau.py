@@ -65,11 +65,13 @@ The compile builds no Gate and no Circuit.  ``compile_netlist`` runs three
 passes: ``_rule`` reads the machine into the cell's table, ``_tag_pass``
 folds and counts rows 1..t, and ``_write`` writes each gate as its
 canonical netlist line, the text ``emit_netlist`` would write, keeping no
-set of the names it has written.  ``railcirc compile-tm`` writes that text as it is; ``compile_tm``
+set of the names it has written.  No gate reads a const, so each row's
+const lines follow that row's logic as one run, and ``const accepted``
+joins row t's.  ``railcirc compile-tm`` writes that text as it is; ``compile_tm``
 and ``compile_tm_flattened`` parse it with ``parse_netlist``, and every
-subcommand reads a netlist file through the same check, the one place a name
-defined twice or an operand read before its definition is refused.  Most of
-the text is const lines, and a parse checks each run of them at a time;
+subcommand reads a netlist file through the same check, the one place a
+name defined twice or an operand read before its definition is refused.
+Most of the text is const lines, and a parse takes each row's run at once;
 every other line goes to the scanner ``read_netlist``.
 
 Wire naming contract: the one-hot wire for symbol index k of cell (r, c) is
@@ -82,11 +84,11 @@ from __future__ import annotations
 
 from functools import cache
 from heapq import heapify, heappop, heapreplace
-from itertools import count, groupby, product
+from itertools import count, product
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .bitsim import wire_values
-from .circuit import AND, CONST, OR, Circuit, parse_netlist
+from .circuit import AND, OR, Circuit, parse_netlist
 from .tm import BLANK, LEFT, RIGHT, TuringMachine, initial_configuration, step
 
 CellSymbol = Union[str, tuple[str, str]]
@@ -178,17 +180,18 @@ class _Cell(NamedTuple):
 
     tags: the tags of its wires.  cost: its gates, the shared sym_ trees
     aside.  sym: whether it reads its left and its right neighbor's sym_
-    tree.  ops: (slot, label, op, operand slots) per gate or OR tree it
+    tree.  ops: (slot, label, op, operand slots) per AND or OR tree it
     builds, in order.  Label k names wire c_r_c_k, a prefix names
-    prefix_{r-1}_c, and None an OR-tree node.  A run of consts is one op
-    (None, None, CONST, their netlist lines), with @ for the cell's c_r_c_
-    prefix.
+    prefix_{r-1}_c, and None an OR-tree node.  consts: the netlist lines of
+    its const wires, in wire order, with @ for the cell's c_r_c_ prefix;
+    empty when it has none.
     """
 
     tags: bytes
     cost: int
     sym: tuple[bool, bool]
     ops: tuple[tuple, ...]
+    consts: str
 
 
 class _Rule(NamedTuple):
@@ -280,7 +283,7 @@ def _rule(tm: TuringMachine) -> _Rule:
             val[slot] = (_or_value(_or_leaves(val[base:base + n_sym]), slot)
                          if any(win[base + n_sym:base + na]) else _ONE)
         tags = bytearray([_X]) * na
-        folded = []
+        folded, consts = [], []
         for slot, label, kind, args in table[not any(win[:na])]:
             operands = [val[s] for s in args]
             if kind == AND:
@@ -294,7 +297,7 @@ def _rule(tm: TuringMachine) -> _Rule:
             elif type(label) is int:
                 if v < 0:
                     tags[label] = int(v == _ONE)
-                    folded.append((None, label, CONST, tags[label]))
+                    consts.append(f"const @{label} {tags[label]}")
                 elif v == tmp:  # its own guarded AND
                     folded[-1] = (slot, label, AND, folded[-1][3])
                 else:  # a buffer of its one leaf
@@ -306,21 +309,14 @@ def _rule(tm: TuringMachine) -> _Rule:
             slot, label, kind, args = op
             if type(label) is int or slot in live:
                 live.discard(slot)
-                if kind != CONST:
-                    live.update(args)
+                live.update(args)
                 ops.append(op)
         ops.reverse()
         # an OR of one leaf is a buffer
-        cost = sum(max(len(args) - 1, 1) if kind == OR else 1
-                   for _, _, kind, args in ops)
-        blocks = []
-        for const, run in groupby(ops, lambda op: op[2] == CONST):
-            if const:
-                run = [(None, None, CONST, "\n".join(f"const @{k} {v}"
-                                                     for _, k, _, v in run))]
-            blocks += run
+        cost = len(consts) + sum(max(len(args) - 1, 1) if kind == OR else 1
+                                 for _, _, kind, args in ops)
         return _Cell(bytes(tags), cost, (sym_l in live, sym_r in live),
-                     tuple(blocks))
+                     tuple(ops), "\n".join(consts))
 
     return _Rule(na, n_sym, [index[(tm.accept, s)] for s in tm.alphabet],
                  t0, tmp, fold)
@@ -378,11 +374,12 @@ def _or_tree(lines: list[str], nodes: Iterator[int],
 
 def _write(rule: _Rule, lines: list[str], row0: list[str | int], folds: list,
            accept: list[int] | None) -> str:
-    """The netlist text: lines, the input layer, then row 0, the rows of
-    folds and the accept output.  Each gate is written as its canonical
-    netlist line, unchecked: the names are distinct by construction, and
-    read_netlist, the one scanner, refuses a name defined twice or an
-    operand read before its definition wherever the text is read."""
+    """The netlist text: lines, the input layer, then row 0 and the rows of
+    folds, each with its const lines last, and the accept output.  Each
+    gate is written as its canonical netlist line, unchecked: the names are
+    distinct by construction, and read_netlist, the one scanner, refuses a
+    name defined twice or an operand read before its definition wherever
+    the text is read."""
     na, n_sym, t0, tmp = rule.na, rule.n_sym, rule.t0, rule.tmp
     nodes = count()  # i of each inner OR node t{i}, in the order written
     # wires[c * na + k]: the (depth, key, wire) a reader of wire k of
@@ -392,14 +389,13 @@ def _write(rule: _Rule, lines: list[str], row0: list[str | int], folds: list,
     # reaches reads the rails.  Depths count from row 0, and a rail's key
     # is its row-0 name, so that the raw and the flattened compile shape
     # their trees alike.
-    wires: list = []
-    for i, v in enumerate(row0):
-        name = f"c_0_{i // na}_{i % na}"
-        lines.append(f"or {name} {v} {v}" if type(v) is str
-                     else f"const {name} {v}")
-        wires.append((0, name, v) if type(v) is str else None)
+    wires = [(0, f"c_0_{i // na}_{i % na}", v) if type(v) is str else None
+             for i, v in enumerate(row0)]
+    lines += [f"or {name} {v} {v}" for _, name, v in filter(None, wires)]
+    lines += [f"const c_0_{i // na}_{i % na} {v}"
+              for i, v in enumerate(row0) if type(v) is int]
 
-    beyond = [None] * na  # the wires of a cell beyond the grid: never read
+    beyond = [None] * na  # the wires of a cell beyond the grid or all const
     unset = [None] * (tmp - 3 * na - 1)  # slots nh_ = 3na + 2 .. tmp, unset
     for r, (row, read) in enumerate(folds, 1):
         pr = r - 1
@@ -407,16 +403,18 @@ def _write(rule: _Rule, lines: list[str], row0: list[str | int], folds: list,
                            f"sym_{pr}_{c}") for c in read}
 
         padded = beyond + wires + beyond
-        wires = []
+        wires, consts = [], []
         for c, cell in enumerate(row):
+            cell_prefix = f"c_{r}_{c}_"
+            if cell.consts:
+                consts.append(cell.consts.replace("@", cell_prefix))
+            if not cell.ops:
+                wires += beyond
+                continue
             w = padded[c * na:(c + 3) * na]
             w += sym.get(c - 1), sym.get(c + 1)
             w += unset
-            cell_prefix = f"c_{r}_{c}_"
             for slot, label, op, args in cell.ops:
-                if op == CONST:  # a run of lines "const NAME VALUE"
-                    lines.append(args.replace("@", cell_prefix))
-                    continue
                 if type(label) is int:
                     name = f"{cell_prefix}{label}"
                 elif label:
@@ -430,6 +428,7 @@ def _write(rule: _Rule, lines: list[str], row0: list[str | int], folds: list,
                 else:
                     w[slot] = _or_tree(lines, nodes, [w[s] for s in args], name)
             wires += w[t0:tmp]
+        lines += consts
 
     if accept:
         _or_tree(lines, nodes, [wires[s] for s in accept], "accepted")

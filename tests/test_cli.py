@@ -251,6 +251,31 @@ def test_stream_flatten_ignores_every_line_ending(monkeypatch, capsys, eol, tail
     assert results[0][0] == (2 if tail else 0)
 
 
+@pytest.mark.parametrize("tail", ["", "0x1"], ids=["bits", "junk"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_stream_flatten_drops_a_leading_byte_order_mark(monkeypatch, capsys,
+                                                        eol, tail):
+    plain = eol.join(["0110", "1", "001"]) + eol + tail
+    results = []
+    for stdin in (plain, "\ufeff" + plain):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        results.append((main(["stream-flatten"]), *capsys.readouterr()))
+    assert results[1] == results[0]
+    assert results[0][0] == (2 if tail else 0)
+
+
+@pytest.mark.parametrize("stdin, position", [
+    ("0\ufeff1\n", 1), ("\ufeff\ufeff0\n", 0), ("\n\ufeff0\n", 0),
+    ("0" * 8192 + "\ufeff1\n", 8192)],
+    ids=["after-a-bit", "second-mark", "after-a-newline", "opening-the-second-read"])
+def test_stream_flatten_refuses_a_later_byte_order_mark(monkeypatch, capsys,
+                                                        stdin, position):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(["stream-flatten"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: non-bit symbol '\\ufeff' at position {position}\n"
+
+
 _FLATTEN_FAULTS = [
     ("input x\nnand g x x\n", 2, "unknown keyword 'nand'"),
     ("input x\nand g x\n", 2, "and line takes 3 token(s) after the keyword, got 2"),

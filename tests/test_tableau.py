@@ -4,7 +4,7 @@ import hashlib
 import random
 import re
 import tracemalloc
-from itertools import count
+from itertools import count, product
 
 import pytest
 
@@ -617,17 +617,17 @@ def test_benchmark_tableau_figures():
 # (fixture, n, t)
 NETLIST_DIGESTS = {
     ("contains_one.tm", 6, 24): (
-        "ee0b06b87672fc72d76ce6d777d1d0a44032ef9805a0432d674e36e9c4bb9e94",
-        "1f74d4ed0f732858c2a1773a06c0a3546030e6a484b1125a9cc247df1f4c3814"),
+        "33ff575cd8ec92b75844f1f98c278dd1763992f17352be269940d83c1a27ec9d",
+        "389138aeef2c0261ea154666c64dfa7ab0b4050c87daf26d27c1d7d652c89bc2"),
     ("contains_one.tm", 2, 8): (
-        "0806c98ebe90da158c551cf11b0dec1e0a2983d83896cc6a4cdc0bd82d10292f",
-        "929eff623714d662990b1d7098619c30f9d51a4b16cb2ee92d4b6c6140a1015c"),
+        "1d458351dce05bf9eb18d5889444264643b7a94084f3e843b3bb91aec04fb971",
+        "eb12225abbb91454a9153d09fe5761a7b51d45d9f6ec5e86ada317b7583a8714"),
     ("parity.tm", 6, 24): (
-        "aea3a190d02d0ee77daba38495bdca226f6ec84bca706239f95cc5a2ec1fbc93",
-        "7062d104583715a1c8144c5efee6569748ae611581c65b2f95e8475f7ea5ff94"),
+        "5e6de07e876212a64b0a30bea9e91548c12707f448567d0093b29d9c6b5bb08d",
+        "1b07cf567fc75d733193998675ff1974fbd23e4422e1ac485c06d30978522f28"),
     ("parity.tm", 2, 8): (
-        "de4003265076bc7a7e83443e74b1300fc5e11d9e31a6de66b439205b0df83f42",
-        "615ee354212d450ccd8bab1769c50aced2d508451a5a45ebb413a23bba7c7c48"),
+        "06b2e8376b145ec371164f550bb44d5bc56c4ecdf7fe41979338985c07ae6464",
+        "13f4783d4549ee7aba520d658e3b2208c7c89e731242517e10e5e9d66e07ba11"),
 }
 
 
@@ -677,11 +677,64 @@ def test_compiled_const_lines_are_checked_a_run_at_a_time(monkeypatch):
     assert not any(line.startswith("const") for line in handed)
 
 
+def _const_runs(text):
+    """The number of const runs a parse of text takes, one _const_run each."""
+    runs, pos = 0, 0
+    while run := circuit._const_run(text, pos):
+        runs, pos = runs + 1, run.end()
+    return runs
+
+
+def test_each_rows_const_lines_are_one_run():
+    # Row r's const lines, const accepted among row t's, are consecutive
+    # lines after row r's logic, so a parse takes at most t + 1 const runs.
+    cases = [(parse_tm(fixture_text(name)), n, t)
+             for name in ("contains_one.tm", "parity.tm")
+             for n, t in ((6, 24), (2, 8), (6, 64))]
+    rng = random.Random(2018)
+    for _ in range(40):
+        tm = _random_machine(rng)
+        n = rng.randint(0, 5)
+        cases.append((tm, n, rng.randint(max(1, n - 1), 12)))
+    for (tm, n, t), flattened in product(cases, (False, True)):
+        text = compile_netlist(tm, n, t, flattened, DEFAULT_GATE_CAP)
+        consts, logic = {}, {}
+        for i, line in enumerate(text.split("\n")):
+            if line.startswith(("const ", "and c_", "or c_")):
+                name = line.split()[1]
+                r = t if name == "accepted" else int(name.split("_")[1])
+                (consts if line[0] == "c" else logic).setdefault(r, []).append(i)
+        first = [consts[r][0] for r in sorted(consts)]
+        assert first == sorted(first), (tm.delta, n, t, flattened)
+        for r, at in consts.items():
+            where = (tm.delta, n, t, flattened, r)
+            assert at == list(range(at[0], at[0] + len(at))), where
+            assert max(logic.get(r, [-1])) < at[0] <= at[-1] < min(
+                logic.get(r + 1, [len(text)])), where
+        assert _const_runs(text) <= t + 1, (tm.delta, n, t, flattened)
+    parity = parse_tm(fixture_text("parity.tm"))
+    assert _const_runs(compile_netlist(parity, 6, 24, False, DEFAULT_GATE_CAP)) == 25
+
+
+def test_a_parse_of_a_compile_peaks_near_200_bytes_per_gate():
+    # parity at n=6, t=64: about 200 B per gate with one const run per row,
+    # 280 with every const line in one block
+    text = compile_netlist(parse_tm(fixture_text("parity.tm")), 6, 64, False,
+                           DEFAULT_GATE_CAP)
+    tracemalloc.start()
+    try:
+        c = parse_netlist(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 220 * len(c.names)
+
+
 # sha256 over compile_netlist's raw, then flattened, text of each of 40
 # generated machines, n and t drawn as in
 # test_fold_is_complete_on_generated_machines.  Like NETLIST_DIGESTS it is
 # re-recorded only by a change that alters the construction on purpose.
-GENERATED_DIGEST = "71436614b0058ce057ac76ee635481d194a766fcbbe61e6fc29ea24bc7e8a9ac"
+GENERATED_DIGEST = "facfc97e6c29cf54cd0cc4e73c02487258e25b2787a53e87019bd8342918d5d9"
 
 
 def test_generated_netlists_match_recorded_digest():

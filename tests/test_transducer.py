@@ -180,6 +180,12 @@ def test_non_ascii_symbol_is_a_non_bit():
     assert sink.text == "10"
 
 
+def test_a_byte_order_mark_is_a_non_bit():
+    # only the CLI drops a leading mark; the library refuses it anywhere
+    with pytest.raises(ValueError, match=r"^non-bit symbol '\\ufeff' at position 0$"):
+        stream_flatten("\ufeff01", RecordingSink())
+
+
 def test_block_encoding_written_before_next_block_read():
     sink = RecordingSink()
     written_at_read = []
